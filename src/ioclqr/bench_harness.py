@@ -9,6 +9,7 @@ times go to a separate file so the result CSVs are byte-stable.
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -74,7 +75,6 @@ class TrialRecord:
     system_hash: str
     Q_bar: np.ndarray
     results: dict = field(default_factory=dict)  # (M, method) -> row dict
-    failure: str = ""
 
 
 def discretize(A_hat, B_hat, dt):
@@ -156,7 +156,7 @@ def run_trial(config, trial_id):
     sys, cost, init_ss, noise_ss = sample_instance(config, trial_id)
     Qbar = cost.Q
     nrm = float(np.linalg.norm(Qbar))
-    sys_hash = f"{abs(hash(sys.A.tobytes() + sys.B.tobytes())):016x}"
+    sys_hash = hashlib.sha256(sys.A.tobytes() + sys.B.tobytes()).hexdigest()[:16]
     record = TrialRecord(trial_id=trial_id, system_hash=sys_hash, Q_bar=Qbar)
     Mmax = max(config.M_grid)
     exact = generate_bundle(
@@ -202,11 +202,7 @@ def run_trial(config, trial_id):
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        if np.isnan(x):
-            return "nan"
-        return FLOAT_FMT % x
-    return str(x)
+    return FLOAT_FMT % x if isinstance(x, float) else str(x)
 
 
 def summarize(records, M_grid):

@@ -75,6 +75,18 @@ def _x0_type(text):
     return np.array(vals)
 
 
+def _glue_x0(argv):
+    """`--x0 -1,2` -> `--x0=-1,2`: argparse takes a separate value that starts
+    with '-' and is not a plain number for an option string."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--x0" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _write_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -238,13 +250,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_x0(sys.argv[1:] if argv is None else argv))
     try:
         args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except VALIDATION_ERRORS as e:

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, psd_tol_for, unvech
+from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
 from .errors import (
     AmbiguousSolution,
     NotIdentifiable,
@@ -18,7 +18,7 @@ from .errors import (
     ResidualTooLarge,
     SolverNotConverged,
 )
-from .identifiability import assess, build_A_matrix, stacked_inputs_rhs
+from .identifiability import assess
 
 
 def _clamp_tiny_negatives(Qm, tol):
@@ -38,13 +38,24 @@ def _clamp_tiny_negatives(Qm, tol):
     return Qm
 
 
+def _fitted_solution(report):
+    """The report's least-squares solution; assess leaves it unset when its
+    residual shows that no Q with unit input cost fits the data."""
+    if report.q_prime is None:
+        raise ResidualTooLarge(
+            f"linear-system residual {report.residual:.3e}; data not generated by this model class"
+        )
+    return report.q_prime
+
+
 def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
     """Least-squares recovery of Q; delegates to the kernel search when the
     identifiability verdict rests on the dual certificate.
 
     Raises NotIdentifiable when the verdict is not_determined,
     ResidualTooLarge when no Q with unit input cost explains the data, and
-    PsdViolation when the solution is clearly indefinite.
+    PsdViolation when the solution is clearly indefinite. The solution is the
+    one `assess` recorded on the report; nothing is re-solved here.
     """
     if report is None:
         report = assess(sys, bundle)
@@ -52,25 +63,9 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
         raise NotIdentifiable("identifiability verdict is not_determined")
     if report.verdict == "unique_by_dual":
         return recover_with_kernel(sys, bundle, report, phi=phi)
-    AD = build_A_matrix(sys, bundle) @ duplication_map(sys.n)
-    rhs = stacked_inputs_rhs(bundle)
-    sol, *_ = np.linalg.lstsq(AD, rhs, rcond=None)
-    resid = float(np.linalg.norm(AD @ sol - rhs))
-    if resid > 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
-        raise ResidualTooLarge(
-            f"linear-system residual {resid:.3e}; data not generated by this model class"
-        )
-    Qm = unvech(sol, sys.n)
+    Qm = _fitted_solution(report)
     Qm = _clamp_tiny_negatives(Qm, psd_tol_for(Qm))
     return CostMatrix(Qm, phi=phi)
-
-
-def _lam_min_on_line(q_prime, kernel):
-    def f(alpha):
-        Qa = q_prime + sum(a * d for a, d in zip(np.atleast_1d(alpha), kernel))
-        return float(np.linalg.eigvalsh(Qa)[0])
-
-    return f
 
 
 def _maximize_scalar(f, max_expand=60):
@@ -170,15 +165,16 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
         return recover_exact(sys, bundle, report=report, phi=phi)
     if report.verdict != "unique_by_dual":
         raise NotIdentifiable(f"kernel recovery needs unique_by_dual, got {report.verdict}")
-    q_prime = report.q_prime
-    if q_prime is None:
-        AD = build_A_matrix(sys, bundle) @ duplication_map(sys.n)
-        rhs = stacked_inputs_rhs(bundle)
-        sol, *_ = np.linalg.lstsq(AD, rhs, rcond=None)
-        q_prime = unvech(sol, sys.n)
+    q_prime = _fitted_solution(report)
     kernel = report.kernel_basis
     eta = len(kernel)
-    f = _lam_min_on_line(q_prime, kernel)
+
+    def Q_at(alpha):
+        return q_prime + sum(a * d for a, d in zip(np.atleast_1d(alpha), kernel))
+
+    def f(alpha):
+        return float(np.linalg.eigvalsh(Q_at(alpha))[0])
+
     # alpha is feasible when Q(alpha) is PSD within amb_tol; the certificate
     # promises one such point. Data rounding may push the whole set slightly
     # below exact PSD-ness (empty at this level); the maximizer is still
@@ -194,8 +190,7 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
         alphas = np.array([alpha_star])
     else:
         def subgrad(alpha):
-            Qa = q_prime + sum(a * d for a, d in zip(alpha, kernel))
-            w, V = np.linalg.eigh(Qa)
+            w, V = np.linalg.eigh(Q_at(alpha))
             v = V[:, 0]
             return np.array([v @ d @ v for d in kernel])
 
@@ -223,7 +218,7 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
                 raise AmbiguousSolution(
                     f"feasible alphas spread over {w_k:.3e} along coordinate {k}"
                 )
-    Qm = q_prime + sum(a * d for a, d in zip(np.atleast_1d(alphas), kernel))
+    Qm = Q_at(alphas)
     Qm = 0.5 * (Qm + Qm.T)
     # the achieved max lam_min certifies how PSD this data can get; accept it
     tol = max(psd_tol_for(Qm), 1.5 * abs(min(f_star, 0.0)))

@@ -10,7 +10,6 @@ the PSD cone, and a Frobenius-ball penalty.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,7 +20,6 @@ from .core_model import (
     DEFAULT_PHI,
     as_q,
     duplication_map,
-    psd_tol_for,
     unvech,
     vech,
 )

@@ -39,9 +39,6 @@ class GainSchedule:
     def P_t(self, t):
         return self.P[t - 2]
 
-    def A_cl(self, t):
-        return self.sys.A + self.sys.B @ self.K[t - 1]
-
 
 def solve_riccati(sys, Q, N):
     """Backward Riccati recursion from P_N = 0.

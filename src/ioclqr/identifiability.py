@@ -35,6 +35,7 @@ class IdentifiabilityReport:
     prop2: Optional[Prop2Record]
     verdict: str
     q_prime: Optional[np.ndarray] = None  # min-norm least-squares solution
+    residual: float = float("nan")  # q_prime is None when this exceeds 1e-8 max(1, |rhs|)
 
     @property
     def kernel_dim(self):
@@ -63,24 +64,28 @@ def build_A_matrix(sys, bundle):
     Row block for episode i, time t (t = 1..N-2) is
     sum_{s=t+1}^{N-1} x_s^T kron (B' (A')^{s-t-1}), so that
     -u_t = [row block] vec(Q) at any optimal episode. Shape M(N-2)m x n^2.
+
+    Built by the backward costate recursion L_{N-2} = x_{N-1}^T kron I,
+    L_t = A' L_{t+1} + x_{t+1}^T kron I, row block t = B' L_t, for all
+    episodes at once: O(M N n^4) work and memory linear in M N.
     """
     n, m, N = sys.n, sys.m, bundle.N
     if N < 4:
         raise DimensionMismatch("need N >= 4 for an informative data matrix")
     if bundle.n != n or bundle.m != m:
         raise DimensionMismatch("bundle dimensions do not match the system")
-    At_pows = [np.linalg.matrix_power(sys.A.T, k) for k in range(N - 2)]
-    # C_s stacks B'(A')^{s-t-1} over t = 1..s-1 and zeros below; build once per s
-    blocks = []
-    for ep in bundle.episodes:
-        rows = np.zeros(((N - 2) * m, n * n))
-        for s in range(2, N):  # state x_s, columns of ep.x are x_1..x_N
-            Cs = np.zeros(((N - 2) * m, n))
-            for t in range(1, s):
-                Cs[(t - 1) * m : t * m, :] = sys.B.T @ At_pows[s - t - 1]
-            rows += np.kron(ep.x[:, s - 1].reshape(1, n), Cs)
-        blocks.append(rows)
-    return np.vstack(blocks)
+    X = np.stack([ep.x for ep in bundle.episodes])  # M x n x N, columns x_1..x_N
+    M = X.shape[0]
+    # L[k, e, j, k'] is row k, column j*n + k' of L_t for episode e; keeping the
+    # contracted row index first makes each step one matmul over all episodes
+    L = np.zeros((n, M, n, n))
+    out = np.empty((M, N - 2, m, n * n))
+    for t in range(N - 2, 0, -1):
+        L = (sys.A.T @ L.reshape(n, -1)).reshape(n, M, n, n)
+        for k in range(n):
+            L[k, :, :, k] += X[:, :, t]  # + x_{t+1}^T kron I
+        out[:, t - 1] = (sys.B.T @ L.reshape(n, -1)).reshape(m, M, n * n).transpose(1, 0, 2)
+    return out.reshape(M * (N - 2) * m, n * n)
 
 
 def stacked_inputs_rhs(bundle):
@@ -91,6 +96,21 @@ def stacked_inputs_rhs(bundle):
     )
 
 
+def _factor(AD, tol):
+    """SVD of A(x) D with its numerical rank and sign-fixed kernel basis.
+
+    Thin, so U is p x q rather than p x p; the full Vt is kept only for a
+    wide matrix (p < q), whose kernel rows a thin Vt would drop.
+    """
+    p, q = AD.shape
+    U, sv, Vt = np.linalg.svd(AD, full_matrices=p < q)
+    thr = rank_tol(sv, AD.shape) if tol is None else tol
+    rank = int((sv > thr).sum())
+    K = Vt[rank:]  # kernel rows; flip each so its largest-magnitude entry is positive
+    K = K * np.sign(K[np.arange(len(K)), np.abs(K).argmax(axis=1)])[:, None]
+    return U, sv, Vt, rank, [unvech(v) for v in K]
+
+
 def check_rank_condition(AD, tol=None):
     """Numerical rank of A(x) D and an orthonormal kernel basis.
 
@@ -98,18 +118,8 @@ def check_rank_condition(AD, tol=None):
     coordinates, sign-fixed so each one's largest-magnitude entry is positive.
     """
     AD = np.asarray(AD, dtype=float)
-    p, q = AD.shape
-    _, sv, Vt = np.linalg.svd(AD)
-    thr = rank_tol(sv, AD.shape) if tol is None else tol
-    rank = int((sv > thr).sum())
-    kernel = []
-    for k in range(rank, q):
-        v = Vt[k]
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0:
-            v = -v
-        kernel.append(unvech(v))
-    return rank, rank == q, kernel
+    *_, rank, kernel = _factor(AD, tol)
+    return rank, rank == AD.shape[1], kernel
 
 
 def check_thm3(bundle):
@@ -124,15 +134,6 @@ def check_thm3(bundle):
     X = np.stack([ep.x[:, N - 2] for ep in bundle.episodes])  # M x n
     sv = np.linalg.svd(X, compute_uv=False)
     return int((sv > rank_tol(sv, X.shape)).sum()) == n
-
-
-def _project_out(Mtx, basis):
-    """Remove the span of `basis` from Mtx in the trace inner product."""
-    gram = np.array([[np.sum(Bi * Bj) for Bj in basis] for Bi in basis])
-    rhs = np.array([np.sum(Bi * Mtx) for Bi in basis])
-    coef = np.linalg.solve(gram, rhs)
-    out = Mtx - sum(c * Bi for c, Bi in zip(coef, basis))
-    return 0.5 * (out + out.T)
 
 
 def prop2_certificate(
@@ -160,8 +161,10 @@ def prop2_certificate(
         raise DimensionMismatch("kernel_basis must be nonempty")
     Qp = np.asarray(Q_prime, dtype=float)
     n = Qp.shape[0]
-    Cmats = [np.asarray(d, dtype=float) for d in kernel_basis]
-    Cg = _project_out(Qp, Cmats)
+    C = np.stack([np.asarray(d, dtype=float).ravel() for d in kernel_basis])  # k x n^2
+    # Q' with span{dQ_k} removed in the trace inner product
+    Cg = (Qp.ravel() - np.linalg.solve(C @ C.T, C @ Qp.ravel()) @ C).reshape(n, n)
+    Cg = 0.5 * (Cg + Cg.T)
 
     # L of the penalty quadratic T(Phi) = sum tr(dQ_k Phi) dQ_k by power iteration
     rng = np.random.default_rng(0)
@@ -169,7 +172,7 @@ def prop2_certificate(
     V = V + V.T
     lam_T = 0.0
     for _ in range(200):
-        W = sum(np.sum(Ci * V) * Ci for Ci in Cmats)
+        W = ((C @ V.ravel()) @ C).reshape(n, n)
         nv = float(np.linalg.norm(W))
         if nv < 1e-300:
             break
@@ -181,13 +184,11 @@ def prop2_certificate(
     stages = scale * np.array([1e2, 1e4, 1e6, 1e8, 1e10])
     per_stage = max_iters // len(stages)
     Phi = np.eye(n)
-    viol = np.array([np.sum(Ci * Phi) for Ci in Cmats])
     total = 0
     for rho in stages:
         step = 1.0 / (rho * lam_T)
         for _ in range(per_stage):
-            viol = np.array([np.sum(Ci * Phi) for Ci in Cmats])
-            g = Cg + rho * sum(v * Ci for v, Ci in zip(viol, Cmats))
+            g = Cg + rho * ((C @ Phi.ravel()) @ C).reshape(n, n)
             Y = Phi - step * g
             w, V2 = np.linalg.eigh(0.5 * (Y + Y.T))
             Phi_new = (V2 * np.clip(w, 0.0, None)) @ V2.T
@@ -200,7 +201,7 @@ def prop2_certificate(
             if moved <= stat_tol * step * max(1.0, scale):
                 break
     w, V2 = np.linalg.eigh(Phi)
-    viol = np.array([np.sum(Ci * Phi) for Ci in Cmats])
+    viol = C @ Phi.ravel()
     wmax = float(w.max(initial=0.0))
     value = float(np.sum(Qp * Phi))
     vnorm = float(np.linalg.norm(Phi))
@@ -227,14 +228,9 @@ def prop2_certificate(
         # no null space, N_Phi = {0}: trivially certified
         trivial = True
     else:
-        basis = []
-        for i in range(n - rank):
-            for j in range(i, n - rank):
-                E = np.zeros((n - rank, n - rank))
-                E[i, j] = 1.0
-                E[j, i] = 1.0
-                basis.append(G2 @ E @ G2.T)
-        cols = np.stack([vech(Bm) for Bm in basis] + [vech(d) for d in Cmats]).T
+        r = n - rank
+        basis = [G2 @ unvech(e, r) @ G2.T for e in np.eye(r * (r + 1) // 2)]
+        cols = np.stack([vech(Bm) for Bm in basis] + [vech(d) for d in kernel_basis]).T
         sv = np.linalg.svd(cols, compute_uv=False)
         # full column rank means beta = W = 0 is the only intersection
         trivial = bool(sv[-1] > rank_tol(sv, cols.shape)) and cols.shape[1] <= cols.shape[0]
@@ -253,16 +249,25 @@ def assess(sys, bundle, tol=None):
 
     Verdict: unique_by_rank on full column rank, else unique_by_thm3 when the
     second-last states span, else unique_by_dual when the Prop2-style dual
-    certificate passes, else not_determined.
+    certificate passes, else not_determined. The min-norm least-squares
+    solution (q_prime, kept only when the data fit it) and its residual come
+    from the same single factorization of the data matrix.
     """
     if bundle.kind != "exact":
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
     AD = build_A_matrix(sys, bundle) @ duplication_map(sys.n)
-    rank, full, kernel = check_rank_condition(AD, tol=tol)
+    U, sv, Vt, rank, kernel = _factor(AD, tol)
+    full = rank == AD.shape[1]
     try:
         thm3 = check_thm3(bundle)
     except HypothesisUnmet:
         thm3 = None
+    # min-norm least-squares solution from the same factors, truncated where
+    # np.linalg.lstsq(rcond=None) truncates, independently of the rank tol
+    keep = sv > np.finfo(float).eps * max(AD.shape) * sv[0]
+    rhs = stacked_inputs_rhs(bundle)
+    sol = Vt[: sv.size][keep].T @ ((U[:, keep].T @ rhs) / sv[keep])
+    resid = float(np.linalg.norm(AD @ sol - rhs))
     report = IdentifiabilityReport(
         rank_AD=rank,
         full_column_rank=full,
@@ -270,12 +275,9 @@ def assess(sys, bundle, tol=None):
         thm3_holds=thm3,
         prop2=None,
         verdict="not_determined",
+        residual=resid,
     )
-    rhs = stacked_inputs_rhs(bundle)
-    sol, *_ = np.linalg.lstsq(AD, rhs, rcond=None)
-    resid = float(np.linalg.norm(AD @ sol - rhs))
-    lin_tol = 1e-8 * max(1.0, float(np.linalg.norm(rhs)))
-    if resid <= lin_tol:
+    if resid <= 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
         report.q_prime = unvech(sol, sys.n)
     if full:
         report.verdict = "unique_by_rank"

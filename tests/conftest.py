@@ -1,3 +1,18 @@
+import os
+
+# One BLAS thread for the whole session, set before numpy loads: results of
+# the benchmark tests depend on the BLAS thread count, and these small
+# matrices run faster on one thread than on several.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

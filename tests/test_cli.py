@@ -81,6 +81,32 @@ class TestForward:
         np.testing.assert_allclose(bundle.episodes[0].x, ref.x, rtol=1e-10)
         np.testing.assert_allclose(bundle.episodes[0].u, ref.u, rtol=1e-10)
 
+    def test_example_episode_separate_negative_x0(self, example_instance, tmp_path):
+        # "--x0 -25.0136,..." as two tokens: argparse alone reads the value
+        # as an option string because it is not a plain negative number
+        spath, cpath = _write_instance(
+            tmp_path, example_instance["sys"], example_instance["cost"], "ex"
+        )
+        out = str(tmp_path / "ex.csv")
+        x0 = ",".join(str(v) for v in example_instance["x0"])
+        assert x0.startswith("-") and "," in x0
+        rc = cli.main(
+            ["forward", "--system", spath, "--cost", cpath, "--x0", x0,
+             "--horizon", "15", "--out", out]
+        )
+        assert rc == 0
+        bundle = io.load_bundle(out)
+        ref = example_instance["bundle"].episodes[0]
+        np.testing.assert_allclose(bundle.episodes[0].x, ref.x, rtol=1e-10)
+        np.testing.assert_allclose(bundle.episodes[0].u, ref.u, rtol=1e-10)
+        # the separate form is still validated
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["forward", "--system", spath, "--cost", cpath, "--x0", "-1,zz,0",
+                 "--out", out]
+            )
+        assert exc.value.code == 2
+
     def test_x0_dimension_mismatch_exits_2(self, stable_instance, tmp_path):
         _, _, spath, cpath = stable_instance
         rc = cli.main(

@@ -1,12 +1,43 @@
 """Data matrix construction, rank tests, and the dual certificate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ioclqr as io
 
 
+def _build_A_matrix_loops(sys, bundle):
+    """Reference data matrix: the double loop over s and t, per episode."""
+    n, m, N = sys.n, sys.m, bundle.N
+    At_pows = [np.linalg.matrix_power(sys.A.T, k) for k in range(N - 2)]
+    blocks = []
+    for ep in bundle.episodes:
+        rows = np.zeros(((N - 2) * m, n * n))
+        for s in range(2, N):  # state x_s, columns of ep.x are x_1..x_N
+            Cs = np.zeros(((N - 2) * m, n))
+            for t in range(1, s):
+                Cs[(t - 1) * m : t * m, :] = sys.B.T @ At_pows[s - t - 1]
+            rows += np.kron(ep.x[:, s - 1].reshape(1, n), Cs)
+        blocks.append(rows)
+    return np.vstack(blocks)
+
+
 class TestDataMatrix:
+    @pytest.mark.parametrize(
+        "n, m, N, M", [(1, 1, 4, 1), (2, 1, 6, 3), (3, 2, 9, 4), (4, 2, 20, 5), (2, 1, 50, 200)]
+    )
+    def test_recursion_matches_double_loop(self, random_system, random_psd, n, m, N, M):
+        # the costate recursion sums the same terms in another order
+        rng = np.random.default_rng(1000 + 97 * n + 13 * m + N + M)
+        sys = random_system(rng, n=n, m=m)
+        bundle = io.generate_bundle(sys, random_psd(rng, n), N, M, seed=int(rng.integers(1 << 30)))
+        got = io.build_A_matrix(sys, bundle)
+        ref = _build_A_matrix_loops(sys, bundle)
+        assert got.shape == ref.shape == (M * (N - 2) * m, n * n)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_scalar_closed_form(self):
         # n = m = 1, N = 4: the two rows are [b x_2 + a b x_3] and [b x_3]
         a, b = 1.1, 0.7
@@ -235,6 +266,43 @@ class TestAssess:
         noisy = io.add_noise(rich_instance["bundle"], snr_db_x=20.0, seed=1)
         with pytest.raises(io.DimensionMismatch):
             io.assess(rich_instance["sys"], noisy)
+
+    def test_report_carries_solution_and_residual(self, rich_instance, example_instance):
+        for inst in (rich_instance, example_instance):
+            report = io.assess(inst["sys"], inst["bundle"])
+            AD = io.build_A_matrix(inst["sys"], inst["bundle"]) @ io.duplication_map(inst["sys"].n)
+            rhs = io.stacked_inputs_rhs(inst["bundle"])
+            sol, *_ = np.linalg.lstsq(AD, rhs, rcond=None)
+            assert report.residual == pytest.approx(np.linalg.norm(AD @ sol - rhs), abs=1e-10)
+            assert report.residual <= 1e-8 * max(1.0, np.linalg.norm(rhs))
+            # same min-norm solution as lstsq, so kernel components are zero too
+            np.testing.assert_allclose(
+                io.vech(report.q_prime), sol, rtol=1e-9, atol=1e-9 * np.linalg.norm(sol)
+            )
+
+    def test_inconsistent_data_leave_no_solution(self, rich_instance):
+        eps = [io.Episode(ep.x, ep.u.copy()) for ep in rich_instance["bundle"].episodes]
+        eps[0].u[0, 1] += 0.5
+        bad = io.TrajectoryBundle(eps, rich_instance["N"], kind="exact")
+        report = io.assess(rich_instance["sys"], bad)
+        assert report.q_prime is None
+        assert report.residual > 1e-8 * max(1.0, np.linalg.norm(io.stacked_inputs_rhs(bad)))
+
+    def test_memory_linear_in_data(self, random_system, random_psd):
+        # n=2, N=50, M=2000: the data matrix is 96000 x 3 (2.3 MB); a full
+        # SVD would ask for a 96000-square U (74 GB). This instance has full
+        # rank, so no certificate runs.
+        rng = np.random.default_rng(49)
+        sys = random_system(rng, n=2, m=1)
+        bundle = io.generate_bundle(sys, random_psd(rng, 2), N=50, M=2000, seed=7)
+        tracemalloc.start()
+        try:
+            report = io.assess(sys, bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "unique_by_rank"
+        assert peak < 64 * 2**20
 
     def test_json_layout(self, rich_instance, example_instance):
         doc = io.assess(rich_instance["sys"], rich_instance["bundle"]).to_json()

@@ -1,9 +1,12 @@
 """Noiseless recovery: the linear solve, the kernel search, and error paths."""
 
+from sys import modules
+
 import numpy as np
 import pytest
 
 import ioclqr as io
+from ioclqr import cli, identifiability
 
 
 def _recover_error(sys, Qbar, N, M, seed, phi=5.0):
@@ -69,6 +72,10 @@ class TestRecoveryErrors:
         corrupted = io.TrajectoryBundle(eps, rich_instance["N"], kind="exact")
         with pytest.raises(io.ResidualTooLarge):
             io.recover_exact(rich_instance["sys"], corrupted)
+        # from a report, the error quotes the residual assess measured
+        report = io.assess(rich_instance["sys"], corrupted)
+        with pytest.raises(io.ResidualTooLarge, match=f"{report.residual:.3e}"):
+            io.recover_exact(rich_instance["sys"], corrupted, report=report)
 
     def test_psd_violation_on_indefinite_source(self, random_system):
         # stationary trajectories of an indefinite cost satisfy the same
@@ -176,3 +183,42 @@ class TestKernelRecovery:
         )
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
+
+
+class TestNoRebuild:
+    """assess builds and factors the data matrix; recovery reuses its report."""
+
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        calls = []
+        orig = identifiability.build_A_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        # rebind every module-level reference, wherever it was imported
+        for name, mod in list(modules.items()):
+            if name.split(".")[0] == "ioclqr" and getattr(mod, "build_A_matrix", None) is orig:
+                monkeypatch.setattr(mod, "build_A_matrix", counted)
+        return calls
+
+    def test_recovery_from_report_builds_nothing(self, build_calls, rich_instance, example_instance):
+        for inst in (rich_instance, example_instance):
+            report = io.assess(inst["sys"], inst["bundle"])
+            assert len(build_calls) == 1
+            io.recover_exact(inst["sys"], inst["bundle"], report=report)
+            io.recover_with_kernel(inst["sys"], inst["bundle"], report)
+            assert len(build_calls) == 1
+            build_calls.clear()
+
+    def test_cli_exact_estimate_builds_once(self, build_calls, rich_instance, tmp_path):
+        spath, bpath = str(tmp_path / "sys.json"), str(tmp_path / "data.csv")
+        io.save_system(rich_instance["sys"], spath)
+        io.save_bundle(rich_instance["bundle"], bpath)
+        rc = cli.main(
+            ["estimate", "--system", spath, "--bundle", bpath, "--mode", "exact",
+             "--out", str(tmp_path / "est.json")]
+        )
+        assert rc == 0
+        assert len(build_calls) == 1
