@@ -37,24 +37,20 @@ def _reduced_quadratic(sys, bundle):
             H[rb : rb + m, (t - 1) * n : t * n] = B.T
     # orthogonal projector onto the complement of range(H)
     Qh, _ = np.linalg.qr(H)
-    Dmap = duplication_map(n)
     nv = n * (n + 1) // 2
-    W = np.zeros((nv, nv))
-    v = np.zeros(nv)
-    c0 = 0.0
-    for ep in bundle.episodes:
-        S = np.zeros((rows_adj + rows_u, nv))
-        for t in range(2, N):
-            rb = (t - 2) * n
-            S[rb : rb + n, :] = -np.kron(ep.x[:, t - 1].reshape(1, n), np.eye(n)) @ Dmap
-        d = np.zeros(rows_adj + rows_u)
-        d[rows_adj:] = ep.u.flatten(order="F")
-        PS = S - Qh @ (Qh.T @ S)
-        Pd = d - Qh @ (Qh.T @ d)
-        W += S.T @ PS
-        v += S.T @ Pd
-        c0 += float(d @ Pd)
-    return W, v, c0
+    M = bundle.M
+    # C = [S d] for every episode, side by side: S's rows -(x_t' kron I) D
+    # for t = 2..N-1 (kron(x', I) vec(Q) = Q x), d's rows the inputs
+    Dr = duplication_map(n).reshape(n, n, nv)  # Dr[j, i] is row j*n + i
+    X = np.stack([ep.x[:, 1 : N - 1] for ep in bundle.episodes])  # M x n x (N-2)
+    C = np.zeros((rows_adj + rows_u, M, nv + 1))
+    C[:rows_adj, :, :nv] = -np.einsum("mjt,jiv->timv", X, Dr).reshape(rows_adj, M, nv)
+    C[rows_adj:, :, nv] = np.stack([ep.u.flatten(order="F") for ep in bundle.episodes], axis=1)
+    # sum over episodes of C'(I - Qh Qh')C = C'C - (Qh'C)'(Qh'C)
+    T = (Qh.T @ C.reshape(len(C), -1)).reshape(-1, nv + 1)
+    Cf = C.reshape(-1, nv + 1)
+    G = Cf.T @ Cf - T.T @ T
+    return G[:nv, :nv], G[:nv, nv], float(G[nv, nv])
 
 
 def estimate_rm(

@@ -3,16 +3,19 @@
 The predicted trajectory for a candidate Q is the solution of the stacked
 boundary-value system F(Q) Z = A_tilde x_bar; the empirical risk is the mean
 squared discrepancy between predictions and observations, in either states
-(state_obs) or inputs (input_obs). Minimization runs in vech coordinates with
-an adjoint-mode gradient, a smoothed max-eigenvalue penalty keeping Q near
-the PSD cone, and a Frobenius-ball penalty.
+(state_obs) or inputs (input_obs). Each evaluation factors F(Q) once in band
+storage (`forward_lqr.BandedPmp`), solves it for all episodes at once and
+its transpose for the adjoint gradient, in O(N n^3) time and memory linear
+in N; the dense `build_pmp_system` stays as the tests' oracle. Minimization
+runs in vech coordinates with an adjoint-mode gradient, a smoothed
+max-eigenvalue penalty keeping Q near the PSD cone, and a Frobenius-ball
+penalty.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from .core_model import (
@@ -23,8 +26,8 @@ from .core_model import (
     unvech,
     vech,
 )
-from .errors import DimensionMismatch, SingularSystem
-from .forward_lqr import build_pmp_system
+from .errors import DimensionMismatch
+from .forward_lqr import BandedPmp
 
 MODES = ("state_obs", "input_obs")
 
@@ -88,34 +91,32 @@ class EstimateResult:
         }
 
 
-def _risk_pieces(problem, Qm, want_grad):
+def _stacked(problem):
+    """Initial states (n x M) and observations ((N-1) x k x M), stacked once
+    per fit rather than once per evaluation."""
+    Y = problem.observations()
+    return problem.bundle.initial_states(), Y.reshape(problem.bundle.N - 1, -1, Y.shape[1])
+
+
+def _risk_pieces(problem, Qm, want_grad, data):
     """Shared evaluation: risk value, per-episode terms and (optionally) the
-    adjoint-mode matrix gradient, all from one factorization of F(Q)."""
-    sys = problem.sys
-    n, m, N = sys.n, sys.m, problem.bundle.N
-    pmp = build_pmp_system(sys, Qm, N)
-    G = pmp.G_x if problem.mode == "state_obs" else pmp.G_u
-    try:
-        lu = sla.lu_factor(pmp.F_of_Q)
-    except (np.linalg.LinAlgError, ValueError) as e:
-        raise SingularSystem("F(Q) factorization failed") from e
-    X0 = problem.bundle.initial_states()  # n x M
-    Bmat = pmp.A_tilde @ X0  # one RHS column per episode
-    Z = sla.lu_solve(lu, Bmat)
-    R = G @ Z - problem.observations()
-    per_episode = np.sum(R * R, axis=0)
+    adjoint-mode matrix gradient, all from one band factorization of F(Q).
+    `data` is `_stacked(problem)`."""
+    X0, Y = data
+    B = problem.sys.B
+    state_obs = problem.mode == "state_obs"
+    pmp = BandedPmp(problem.sys, Qm, problem.bundle.N)
+    x, lam = pmp.solve(X0)
+    R = (x if state_obs else -(B.T @ lam)) - Y  # u_t = -B' lambda_{t+1}
+    per_episode = np.sum(R * R, axis=(0, 1))
     value = float(per_episode.mean())
     if not want_grad:
         return value, per_episode, None
-    M = X0.shape[1]
-    W = sla.lu_solve(lu, 2.0 * (G.T @ R), trans=1)
-    # Q enters F(Q) only in the -F blocks: row block r (bottom half) times x_{r+1}
-    nb = N - 1
-    Wb = W.reshape(nb, 2 * n, M)
-    Zb = Z.reshape(nb, 2 * n, M)
-    wlam = Wb[1:, n:, :]  # adjoint rows that multiply Q
-    xk = Zb[:-1, :n, :]  # states x_2..x_{N-1}
-    grad = -np.einsum("rim,rjm->ij", wlam, xk) / M
+    if state_obs:
+        gx, glam = 2.0 * R, np.zeros_like(lam)
+    else:
+        gx, glam = np.zeros_like(x), -2.0 * (B @ R)
+    grad = pmp.q_gradient(gx, glam, x) / X0.shape[1]
     grad = 0.5 * (grad + grad.T)
     return value, per_episode, grad
 
@@ -123,14 +124,14 @@ def _risk_pieces(problem, Qm, want_grad):
 def eval_risk(problem, Q):
     """Empirical risk at Q: mean over episodes of the squared observation
     mismatch. Returns (value, per_episode)."""
-    value, per_episode, _ = _risk_pieces(problem, as_q(Q), want_grad=False)
+    value, per_episode, _ = _risk_pieces(problem, as_q(Q), False, _stacked(problem))
     return value, list(per_episode)
 
 
 def risk_gradient(problem, Q):
     """Adjoint-mode gradient of the empirical risk, symmetrized, averaged
     over episodes."""
-    _, _, grad = _risk_pieces(problem, as_q(Q), want_grad=True)
+    _, _, grad = _risk_pieces(problem, as_q(Q), True, _stacked(problem))
     return grad
 
 
@@ -158,10 +159,11 @@ def penalized_objective(problem, Dmap):
     pw = problem.penalty_weight
     eps = problem.epsilon
     phi = problem.phi
+    data = _stacked(problem)
 
     def fun(q):
         Qm = unvech(q, problem.sys.n)
-        risk, _, grad_m = _risk_pieces(problem, Qm, want_grad=True)
+        risk, _, grad_m = _risk_pieces(problem, Qm, True, data)
         f = risk
         g = grad_m.copy()
         psd_val, psd_grad = smoothed_max_eig(-Qm, eps)

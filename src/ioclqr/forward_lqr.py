@@ -3,12 +3,18 @@
 Three independent solution routes are provided: backward Riccati recursion,
 the stacked two-point boundary-value linear system F(Q) Z = b, and a direct
 dense QP over the inputs. They exist so they can cross-check each other.
+
+The boundary-value system has two forms. `build_pmp_system`/`pmp_solve`
+assemble F(Q) densely; they are the oracle the tests check against.
+`BandedPmp` factors the same matrix in LAPACK band storage in O(N n^3) time
+and O(N n^2) memory; it is the hot path of the risk estimators.
 """
 
 import logging
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .core_model import Episode, TrajectoryBundle, as_q
 from .errors import (
@@ -64,7 +70,7 @@ def solve_riccati(sys, Q, N):
             raise NumericalFailure(f"(B'PB + I) not positive definite at t={t}") from e
         BtPA = B.T @ P @ A
         Ks[t - 1] = -sla.cho_solve(cf, BtPA)
-        P = A.T @ P @ A + Qm - BtPA.T @ sla.cho_solve(cf, BtPA)
+        P = A.T @ P @ A + Qm + BtPA.T @ Ks[t - 1]
         P = 0.5 * (P + P.T)
         if t >= 2:
             Ps[t - 2] = P
@@ -196,6 +202,81 @@ def pmp_solve(pmp, x_bar):
     for t in range(nb):  # u_t = -B' lambda_{t+1}, lambda index t+1 -> column t
         us[:, t] = -pmp.sys.B.T @ lams[:, t]
     return xs, lams, us
+
+
+def _put_band(ab, d, block, cols0):
+    """Store `block` in band storage once per start column j0 in cols0.
+
+    Row p0 + a, column j0 + b of the matrix lands in ab[d + a - b, j0 + b],
+    where d = kl + ku + p0 - j0 is the same for every copy.
+    """
+    for b in range(block.shape[1]):
+        ab[d - b : d - b + block.shape[0], cols0 + b] = block[:, b, None]
+
+
+class BandedPmp:
+    """F(Q) of `build_pmp_system`, LU-factored in LAPACK band storage.
+
+    The unknowns keep their order z_t = (x_t, lambda_t), t = 2..N. The
+    equations are reordered: first the n rows x_2 + BB' lambda_2 = A x_1,
+    then the N-2 block rows [-F E], last the n terminal rows lambda_N = 0.
+    In this order F(Q) is banded with kl = ku = 3n - 1, so the factorization
+    costs O(N n^3) and the storage O(N n^2); the dense matrix is never
+    formed. Partial pivoting only finds nonzero candidates inside the band,
+    so this is the elimination a dense LU of the reordered F(Q) would do,
+    without its zeros.
+    """
+
+    def __init__(self, sys, Q, N):
+        if N < 2:
+            raise DimensionMismatch("horizon must be at least 2")
+        n = sys.n
+        A, B = sys.A, sys.B
+        Qm = as_q(Q)
+        if not np.isfinite(Qm).all():
+            raise SingularSystem("F(Q) has non-finite entries")
+        self.n, self.nb, self.A = n, N - 1, A
+        self.kl = self.ku = 3 * n - 1
+        size = 2 * n * self.nb
+        d0 = self.kl + self.ku  # band row of the main diagonal
+        ab = np.zeros((2 * self.kl + self.ku + 1, size), order="F")
+        I, Z = np.eye(n), np.zeros((n, n))
+        BBt = B @ B.T
+        _put_band(ab, d0, np.hstack([I, BBt]), np.array([0]))
+        # block row r = 1..N-2 starts at row n + 2n(r-1) and column 2n(r-1);
+        # for N = 2 there is none and only the first and terminal rows remain
+        blk = np.block([[-A, Z, I, BBt], [Qm, -I, Z, A.T]])
+        _put_band(ab, d0 + n, blk, 2 * n * np.arange(self.nb - 1))
+        _put_band(ab, d0, I, np.array([size - n]))
+        self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:
+            raise SingularSystem(
+                f"F(Q) is singular (LAPACK info {info}); Q is not PSD or inputs are corrupt"
+            )
+
+    def solve(self, X0):
+        """States x_{2:N} and costates lambda_{2:N}, each (N-1) x n x M, for
+        the initial states X0 (n x M), all episodes in one solve."""
+        n, nb = self.n, self.nb
+        rhs = np.zeros((2 * n * nb, X0.shape[1]), order="F")
+        rhs[:n] = self.A @ X0
+        Z, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs, self.piv, overwrite_b=1)
+        Zb = Z.reshape(nb, 2 * n, -1)
+        return Zb[:, :n], Zb[:, n:]
+
+    def q_gradient(self, gx, glam, x):
+        """dL/dQ, summed over episodes, of a loss L(x, lambda) whose gradients
+        at the solution are gx and glam (shaped like `solve`'s output).
+
+        With F(Q)' W = (gx, glam), dL/dQ = -sum_t w_t x_t' over the rows
+        lambda_t = Q x_t + A' lambda_{t+1}, t = 2..N-1; in the band order the
+        row of block row r = t - 1 starts at n + 2n(r-1) + n = 2n r.
+        """
+        n, nb = self.n, self.nb
+        g = np.concatenate([gx, glam], axis=1).reshape(2 * n * nb, -1)
+        W, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, g, self.piv, trans=1)
+        Wq = W.reshape(nb, 2 * n, -1)[1:, :n]
+        return -np.tensordot(Wq, x[:-1], axes=([0, 2], [0, 2]))
 
 
 def inputs_from_states(sys, x):

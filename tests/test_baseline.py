@@ -152,3 +152,55 @@ class TestResultContract:
         res = io.estimate_rm(sys, bundle, phi=7.5)
         assert res.Q_hat.phi == 7.5
         assert res.config["phi"] == 7.5
+
+
+def _reduced_quadratic_loop(sys, bundle):
+    """One kron per step and one projection per episode."""
+    n, m, N = sys.n, sys.m, bundle.N
+    rows_adj, rows_u = (N - 2) * n, (N - 1) * m
+    H = np.zeros((rows_adj + rows_u, rows_adj))
+    for t in range(2, N):
+        rb = (t - 2) * n
+        H[rb : rb + n, rb : rb + n] = np.eye(n)
+        if t + 1 <= N - 1:
+            H[rb : rb + n, rb + n : rb + 2 * n] = -sys.A.T
+    for t in range(1, N):
+        rb = rows_adj + (t - 1) * m
+        if t + 1 <= N - 1:
+            H[rb : rb + m, (t - 1) * n : t * n] = sys.B.T
+    Qh, _ = np.linalg.qr(H)
+    Dmap = io.duplication_map(n)
+    nv = n * (n + 1) // 2
+    W, v, c0 = np.zeros((nv, nv)), np.zeros(nv), 0.0
+    for ep in bundle.episodes:
+        S = np.zeros((rows_adj + rows_u, nv))
+        for t in range(2, N):
+            rb = (t - 2) * n
+            S[rb : rb + n, :] = -np.kron(ep.x[:, t - 1].reshape(1, n), np.eye(n)) @ Dmap
+        d = np.zeros(rows_adj + rows_u)
+        d[rows_adj:] = ep.u.flatten(order="F")
+        PS = S - Qh @ (Qh.T @ S)
+        Pd = d - Qh @ (Qh.T @ d)
+        W += S.T @ PS
+        v += S.T @ Pd
+        c0 += float(d @ Pd)
+    return W, v, c0
+
+
+@pytest.mark.parametrize("n,m,N,M", [(1, 1, 4, 2), (2, 1, 12, 4), (2, 2, 20, 7), (3, 1, 30, 3)])
+def test_reduced_quadratic_matches_loop(n, m, N, M):
+    from ioclqr.baseline_rm import _reduced_quadratic
+
+    rng = np.random.default_rng(95 + n + N)
+    A = rng.standard_normal((n, n))
+    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
+    sys = io.LtiSystem(A, rng.standard_normal((n, m)))
+    G = rng.standard_normal((n, n))
+    exact = io.generate_bundle(sys, G @ G.T / n, N, M, seed=N)
+    bundle = io.add_noise(exact, snr_db_x=15.0, snr_db_u=20.0, seed=N + 1)
+    W, v, c0 = _reduced_quadratic(sys, bundle)
+    W_ref, v_ref, c0_ref = _reduced_quadratic_loop(sys, bundle)
+    scale = max(np.abs(W_ref).max(), np.abs(v_ref).max(), abs(c0_ref))
+    np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12 * scale)
+    assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=1e-12 * scale)

@@ -156,8 +156,20 @@ class TestRunBenchmark:
             assert srow["q25"] == pytest.approx(q25, rel=1e-12)
             assert srow["q75"] == pytest.approx(q75, rel=1e-12)
         sfile = _read_csv(out / "summary.csv")
-        assert sfile[0] == ["M", "method", "median", "q25", "q75", "n_ok"]
+        assert sfile[0] == ["M", "method", "median", "q25", "q75", "n_ok", "n_converged"]
         assert len(sfile) - 1 == len(summary)
+
+    def test_summary_counts_converged(self, smoke_run):
+        _, out, _, summary = smoke_run
+        rows = _read_csv(out / "trials.csv")[1:]
+        sfile = _read_csv(out / "summary.csv")[1:]
+        for srow, frow in zip(summary, sfile):
+            want = sum(
+                1 for r in rows
+                if int(r[1]) == srow["M"] and r[2] == srow["method"] and r[4] == "true"
+            )
+            assert srow["n_converged"] == want
+            assert int(frow[6]) == want
 
     def test_errors_recomputable_from_record(self, smoke_run):
         _, _, records, _ = smoke_run

@@ -247,3 +247,35 @@ class TestAddNoise:
         for e1, e2 in zip(n1.episodes, n2.episodes):
             np.testing.assert_array_equal(e1.x, e2.x)
         assert not np.array_equal(n1.episodes[0].x, n3.episodes[0].x)
+
+
+def _riccati_two_solves(sys, Q, N):
+    """The recursion with the gain solve repeated inside the P update."""
+    import scipy.linalg as sla
+
+    A, B = sys.A, sys.B
+    P = np.zeros((sys.n, sys.n))
+    Ks, Ps = [None] * (N - 1), [None] * (N - 1)
+    Ps[N - 2] = P
+    for t in range(N - 1, 0, -1):
+        cf = sla.cho_factor(B.T @ P @ B + np.eye(sys.m), lower=True)
+        BtPA = B.T @ P @ A
+        Ks[t - 1] = -sla.cho_solve(cf, BtPA)
+        P = A.T @ P @ A + Q - BtPA.T @ sla.cho_solve(cf, BtPA)
+        P = 0.5 * (P + P.T)
+        if t >= 2:
+            Ps[t - 2] = P
+    return Ks, Ps
+
+
+def test_riccati_reuses_gain_bit_for_bit(random_system, random_psd):
+    rng = np.random.default_rng(90)
+    for n, m, N in [(1, 1, 2), (2, 1, 9), (3, 2, 20), (4, 1, 60)]:
+        sys = random_system(rng, n, m)
+        Q = random_psd(rng, n)
+        gains = solve_riccati(sys, Q, N)
+        Ks, Ps = _riccati_two_solves(sys, Q, N)
+        for got, want in zip(gains.K, Ks):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(gains.P, Ps):
+            np.testing.assert_array_equal(got, want)

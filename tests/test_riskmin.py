@@ -217,3 +217,92 @@ class TestEstimate:
     def test_input_mode_method_name(self):
         _, _, _, _, prob = _noisy_problem(69, mode="input_obs", N=8, M=2)
         assert io.estimate(prob).method == "risk_u"
+
+
+def _dense_risk(problem, Q):
+    """The risk, per-episode terms and gradient by the dense route: F(Q) from
+    build_pmp_system, LU-factored whole, selectors G_x / G_u."""
+    import scipy.linalg as sla
+
+    bundle = problem.bundle
+    pmp = io.build_pmp_system(problem.sys, Q, bundle.N)
+    G = pmp.G_x if problem.mode == "state_obs" else pmp.G_u
+    lu = sla.lu_factor(pmp.F_of_Q)
+    X0 = bundle.initial_states()
+    M = X0.shape[1]
+    Z = sla.lu_solve(lu, pmp.A_tilde @ X0)
+    R = G @ Z - problem.observations()
+    per = np.sum(R * R, axis=0)
+    W = sla.lu_solve(lu, 2.0 * (G.T @ R), trans=1)
+    n, nb = problem.sys.n, bundle.N - 1
+    Wb = W.reshape(nb, 2 * n, M)
+    Zb = Z.reshape(nb, 2 * n, M)
+    grad = -np.einsum("rim,rjm->ij", Wb[1:, n:, :], Zb[:-1, :n, :]) / M
+    return per.mean(), per, 0.5 * (grad + grad.T)
+
+
+def _band_case(seed, n, m, N, M=3):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
+    sys = io.LtiSystem(A, rng.standard_normal((n, m)))
+    G = rng.standard_normal((n, n))
+    Qbar = G @ G.T / n
+    exact = io.generate_bundle(sys, Qbar, N, M, seed=seed)
+    noisy = io.add_noise(exact, snr_db_x=15.0, snr_db_u=20.0, seed=seed + 1)
+    H = rng.standard_normal((n, n))
+    return sys, noisy, Qbar + 0.1 * (H + H.T)
+
+
+class TestBandRoute:
+    @pytest.mark.parametrize("n,m,N", [(1, 1, 2), (2, 1, 3), (2, 2, 8), (3, 1, 15), (2, 1, 50)])
+    def test_matches_dense_oracle(self, n, m, N):
+        sys, noisy, Q = _band_case(400 + 10 * n + N, n, m, N)
+        for mode in ("state_obs", "input_obs"):
+            prob = io.RiskProblem(sys, noisy, mode=mode)
+            val_d, per_d, grad_d = _dense_risk(prob, Q)
+            val, per = io.eval_risk(prob, Q)
+            grad = io.risk_gradient(prob, Q)
+            assert val == pytest.approx(val_d, rel=1e-10)
+            np.testing.assert_allclose(per, per_d, rtol=1e-10)
+            np.testing.assert_allclose(grad, grad_d, rtol=1e-10, atol=1e-10 * np.abs(grad_d).max())
+
+    def test_estimate_never_builds_dense_system(self, monkeypatch):
+        from ioclqr import forward_lqr
+
+        def boom(*args, **kwargs):
+            raise AssertionError("dense F(Q) built on the estimator path")
+
+        monkeypatch.setattr(forward_lqr, "build_pmp_system", boom)
+        monkeypatch.setattr(io, "build_pmp_system", boom)
+        for mode in ("state_obs", "input_obs"):
+            _, _, _, _, prob = _noisy_problem(71, mode=mode, N=8, M=2)
+            assert io.estimate(prob).n_iter > 0
+
+    def test_memory_linear_in_horizon(self):
+        import tracemalloc
+
+        sys, noisy, Q = _band_case(81, 2, 1, 1000, M=10)
+        prob = io.RiskProblem(sys, noisy)
+        io.risk_gradient(prob, Q)  # warm-up: imports and caches stay out
+        tracemalloc.start()
+        try:
+            io.risk_gradient(prob, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # the dense F(Q) alone is 128 MB
+
+    def test_singular_factor_raises(self):
+        # n = 1, N = 3: x_2 solves (1 + b^2 q) x_2 = a x_1, exactly singular
+        # at q = -1/b^2, and the band LU meets an exact zero pivot
+        sys = io.LtiSystem([[0.5]], [[1.0]])
+        bundle = io.generate_bundle(sys, np.eye(1), 3, 2, seed=0)
+        for mode in ("state_obs", "input_obs"):
+            prob = io.RiskProblem(sys, bundle, mode=mode)
+            with pytest.raises(io.SingularSystem):
+                io.eval_risk(prob, -np.eye(1))
+            with pytest.raises(io.SingularSystem):
+                io.risk_gradient(prob, -np.eye(1))
+            with pytest.raises(io.SingularSystem):
+                io.eval_risk(prob, np.full((1, 1), np.nan))
