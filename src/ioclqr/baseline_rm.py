@@ -4,16 +4,15 @@ Minimizes the stationarity residuals of the optimality conditions directly on
 the noisy observations, jointly over Q and the per-episode adjoint sequences
 (lambda_N = 0). The adjoints enter quadratically, so they are eliminated in
 closed form through an orthogonal projector; what remains is a convex
-quadratic in vech(Q) plus the same smoothed-eigenvalue PSD penalty used by
-the risk estimator.
+quadratic in vech(Q), the data term of the fitting core the risk estimator
+uses (same penalties, L-BFGS-B loop and final projection).
 """
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, unvech, vech
+from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, unvech
 from .errors import DimensionMismatch
-from .estimate_noisy import EstimateResult, _finalize_q, smoothed_max_eig
+from .estimate_noisy import EstimateResult, _fit, _fit_config, _penalized
 
 
 def _reduced_quadratic(sys, bundle):
@@ -70,68 +69,27 @@ def estimate_rm(
     baseline. Zero-information data (all observations zero) makes every Q
     optimal; then Q = I is returned with degenerate=True.
     """
+    config = _fit_config(phi, epsilon, penalty_weight, max_iters, grad_tol)
     if bundle.n != sys.n or bundle.m != sys.m:
         raise DimensionMismatch("bundle dimensions do not match the system")
     n = sys.n
+    method = "residual_minimization"
     W, v, c0 = _reduced_quadratic(sys, bundle)
     data_scale = max(
         float(sum(np.sum(ep.x**2) + np.sum(ep.u**2) for ep in bundle.episodes)), 1.0
     )
-    degenerate = np.linalg.norm(W) <= 1e-14 * data_scale and np.linalg.norm(v) <= 1e-14 * data_scale
-    Dmap = duplication_map(n)
-    if degenerate:
-        Qm = np.eye(n)
-        psd_margin = 1.0
-        trace = []
-        grad_norm = 0.0
-        converged = True
-        nit = 0
-    else:
-        def fun(q):
-            # W, v act on vech(Q) directly; matrix space only for the penalties
-            f = float(q @ W @ q + 2.0 * v @ q + c0)
-            g = (W + W.T) @ q + 2.0 * v
-            Qm = unvech(q, n)
-            psd_val, psd_grad = smoothed_max_eig(-Qm, epsilon)
-            if psd_val > 0:
-                f += penalty_weight * psd_val**2
-                g += Dmap.T @ (penalty_weight * 2.0 * psd_val * (-psd_grad)).flatten(order="F")
-            ball = float(np.sum(Qm * Qm)) - phi
-            if ball > 0:
-                f += penalty_weight * ball**2
-                g += Dmap.T @ (penalty_weight * 2.0 * ball * (2.0 * Qm)).flatten(order="F")
-            return f, g
-
-        q0 = vech(np.eye(n))
-        res = minimize(
-            fun,
-            q0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iters, "gtol": grad_tol, "ftol": 1e-15},
+    if np.linalg.norm(W) <= 1e-14 * data_scale and np.linalg.norm(v) <= 1e-14 * data_scale:
+        return EstimateResult(
+            CostMatrix(np.eye(n), phi=phi), method=method, degenerate=True, config=config
         )
-        Qm, psd_margin = _finalize_q(unvech(res.x, n), phi)
-        trace = [(0, fun(q0)[0]), (int(res.nit), float(res.fun))]
-        grad_norm = float(np.linalg.norm(res.jac, np.inf))
-        converged = bool(res.success)
-        nit = int(res.nit)
-    return EstimateResult(
-        Q_hat=CostMatrix(Qm, phi=phi),
-        objective_trace=trace,
-        grad_norm_final=grad_norm,
-        constraint_activity={
-            "psd_margin": psd_margin,
-            "ball_margin": float(phi - np.sum(Qm * Qm)),
-        },
-        converged=converged,
-        n_iter=nit,
-        method="residual_minimization",
-        degenerate=bool(degenerate),
-        config={
-            "phi": phi,
-            "epsilon": epsilon,
-            "penalty_weight": penalty_weight,
-            "max_iters": max_iters,
-            "grad_tol": grad_tol,
-        },
-    )
+
+    def residual(q, Qm):
+        # W, v act on vech(Q) directly; the gradient goes back to matrix
+        # form with halved off-diagonal entries, which Dmap' maps exactly
+        # onto g (halving is exact)
+        g = (W + W.T) @ q + 2.0 * v
+        G = 0.5 * unvech(g, n)
+        G[np.diag_indices(n)] *= 2.0
+        return float(q @ W @ q + 2.0 * v @ q + c0), G
+
+    return _fit(_penalized(residual, n, config), n, config, 1e-15, method)

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 
 from .baseline_rm import estimate_rm
 from .core_model import CostMatrix, FLOAT_FMT, LtiSystem
-from .errors import InvalidSystem, RejectionBudgetExceeded
+from .errors import InvalidSystem, ParseError, RejectionBudgetExceeded
 from .estimate_noisy import RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
 
@@ -50,23 +50,19 @@ class BenchConfig:
 
     @classmethod
     def from_json(cls, doc):
-        kwargs = {}
-        for key in (
-            "n_trials",
-            "N",
-            "M_grid",
-            "snr_db_x",
-            "snr_db_u",
-            "phi",
-            "dt",
-            "master_seed",
-        ):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if doc.get("system") is not None:
-            s = doc["system"]
-            kwargs["system"] = LtiSystem(np.array(s["A"]), np.array(s["B"]))
-        return cls(**kwargs)
+        """Config from a parsed JSON document; a document of the wrong shape
+        raises ParseError."""
+        if not isinstance(doc, dict):
+            raise ParseError("benchmark config must be a JSON object")
+        keys = ("n_trials", "N", "M_grid", "snr_db_x", "snr_db_u", "phi", "dt", "master_seed")
+        kwargs = {key: doc[key] for key in keys if key in doc}
+        try:
+            if doc.get("system") is not None:
+                s = doc["system"]
+                kwargs["system"] = LtiSystem(np.array(s["A"]), np.array(s["B"]))
+            return cls(**kwargs)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"malformed benchmark config ({type(e).__name__}: {e})") from e
 
 
 @dataclass

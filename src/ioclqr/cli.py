@@ -23,23 +23,7 @@ from .core_model import (
     load_system,
     save_bundle,
 )
-from .errors import (
-    AmbiguousSolution,
-    AsymmetricInput,
-    DimensionMismatch,
-    HypothesisUnmet,
-    InvalidCost,
-    InvalidSystem,
-    NotIdentifiable,
-    NumericalFailure,
-    ParseError,
-    PsdViolation,
-    RejectionBudgetExceeded,
-    ResidualTooLarge,
-    SingularSystem,
-    SizeGuardExceeded,
-    SolverNotConverged,
-)
+from .errors import DimensionMismatch, IocError, ParseError, SolverNotConverged
 from .estimate_noiseless import recover_exact
 from .estimate_noisy import EstimateResult, RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle, simulate, solve_riccati
@@ -48,21 +32,6 @@ from .identifiability import assess
 DEFAULT_EPSILON = 1e-3
 DEFAULT_HORIZON = 50
 DEFAULT_DT = 0.1
-
-VALIDATION_ERRORS = (
-    InvalidSystem,
-    InvalidCost,
-    AsymmetricInput,
-    PsdViolation,
-    DimensionMismatch,
-    SizeGuardExceeded,
-    HypothesisUnmet,
-    NotIdentifiable,
-    ResidualTooLarge,
-    AmbiguousSolution,
-    RejectionBudgetExceeded,
-)
-SOLVER_ERRORS = (SolverNotConverged, NumericalFailure, SingularSystem)
 
 
 def _x0_type(text):
@@ -73,6 +42,18 @@ def _x0_type(text):
     if not vals:
         raise argparse.ArgumentTypeError("x0 is empty")
     return np.array(vals)
+
+
+def _snr_type(text):
+    if text.lower() == "none":
+        return None
+    try:
+        snr = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad SNR {text!r}, want a number of dB or 'none'")
+    if not np.isfinite(snr):
+        raise argparse.ArgumentTypeError(f"SNR {text!r} is not finite")
+    return snr
 
 
 def _glue_x0(argv):
@@ -140,35 +121,18 @@ def cmd_estimate(args):
     sys_ = load_system(args.system)
     bundle = load_bundle(args.bundle)
     if args.mode == "exact":
-        Q_hat = recover_exact(sys_, bundle, phi=args.phi)
-        w = np.linalg.eigvalsh(Q_hat.Q)
         result = EstimateResult(
-            Q_hat=Q_hat,
-            objective_trace=[],
-            grad_norm_final=0.0,
-            constraint_activity={
-                "psd_margin": float(w[0]),
-                "ball_margin": float(args.phi - np.sum(Q_hat.Q * Q_hat.Q)),
-            },
-            converged=True,
-            n_iter=0,
+            recover_exact(sys_, bundle, phi=args.phi),
             method="exact",
-            config={
-                "mode": "exact",
-                "phi": args.phi,
-                "epsilon": args.epsilon,
-                "N": bundle.N,
-                "M": bundle.M,
-            },
+            config={"mode": "exact", "phi": args.phi, "epsilon": args.epsilon},
         )
     elif args.mode == "residual-min":
         result = estimate_rm(sys_, bundle, phi=args.phi, epsilon=args.epsilon)
-        result.config.update({"N": bundle.N, "M": bundle.M})
     else:
         mode = "state_obs" if args.mode == "risk-x" else "input_obs"
         prob = RiskProblem(sys_, bundle, mode=mode, phi=args.phi, epsilon=args.epsilon)
         result = estimate(prob)
-        result.config.update({"N": bundle.N, "M": bundle.M})
+    result.config.update({"N": bundle.N, "M": bundle.M})
     if not result.converged:
         raise SolverNotConverged(
             f"{result.method} stopped without meeting tolerances "
@@ -215,8 +179,8 @@ def build_parser():
     g.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     g.add_argument("--episodes", type=int, default=1, help="number of episodes M")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--snr-x", default="none", help='state SNR in dB, or "none"')
-    g.add_argument("--snr-u", default="none", help='input SNR in dB, or "none"')
+    g.add_argument("--snr-x", type=_snr_type, default="none", help='state SNR in dB, or "none"')
+    g.add_argument("--snr-u", type=_snr_type, default="none", help='input SNR in dB, or "none"')
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -253,15 +217,9 @@ def main(argv=None):
     args = parser.parse_args(_glue_x0(sys.argv[1:] if argv is None else argv))
     try:
         args.func(args)
-    except (ParseError, OSError) as e:
+    except (IocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except VALIDATION_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SOLVER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return getattr(e, "exit_code", 1)
     return 0
 
 

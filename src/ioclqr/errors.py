@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error derives from one of three bases, each carrying the exit code the
+command line returns for it: ParseError (1), ValidationError (2) and
+SolverError (3).
+"""
 
 
 class IocError(Exception):
@@ -8,8 +13,22 @@ class IocError(Exception):
 class ParseError(IocError):
     """Input file is malformed or missing required fields."""
 
+    exit_code = 1
 
-class InvalidSystem(IocError):
+
+class ValidationError(IocError):
+    """Inputs or data violate an invariant or a hypothesis."""
+
+    exit_code = 2
+
+
+class SolverError(IocError):
+    """A numerical solver failed or did not converge."""
+
+    exit_code = 3
+
+
+class InvalidSystem(ValidationError):
     """System matrices violate an invariant.
 
     flag is one of 'not_invertible', 'rank_deficient_B', 'uncontrollable'.
@@ -20,53 +39,53 @@ class InvalidSystem(IocError):
         super().__init__(msg or flag)
 
 
-class InvalidCost(IocError):
+class InvalidCost(ValidationError):
     """Cost matrix violates a shape or ball invariant."""
 
 
-class AsymmetricInput(IocError):
+class AsymmetricInput(ValidationError):
     pass
 
 
-class PsdViolation(IocError):
+class PsdViolation(ValidationError):
     pass
 
 
-class DimensionMismatch(IocError):
+class DimensionMismatch(ValidationError):
     pass
 
 
-class NumericalFailure(IocError):
+class NumericalFailure(SolverError):
     pass
 
 
-class SizeGuardExceeded(IocError):
+class SizeGuardExceeded(ValidationError):
     pass
 
 
-class SingularSystem(IocError):
+class SingularSystem(SolverError):
     pass
 
 
-class HypothesisUnmet(IocError):
+class HypothesisUnmet(ValidationError):
     """A theorem's hypotheses do not hold for the given data."""
 
 
-class NotIdentifiable(IocError):
+class NotIdentifiable(ValidationError):
     pass
 
 
-class ResidualTooLarge(IocError):
+class ResidualTooLarge(ValidationError):
     pass
 
 
-class SolverNotConverged(IocError):
+class SolverNotConverged(SolverError):
     pass
 
 
-class AmbiguousSolution(IocError):
+class AmbiguousSolution(ValidationError):
     pass
 
 
-class RejectionBudgetExceeded(IocError):
+class RejectionBudgetExceeded(ValidationError):
     pass

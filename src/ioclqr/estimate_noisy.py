@@ -9,7 +9,9 @@ its transpose for the adjoint gradient, in O(N n^3) time and memory linear
 in N; the dense `build_pmp_system` stays as the tests' oracle. Minimization
 runs in vech coordinates with an adjoint-mode gradient, a smoothed
 max-eigenvalue penalty keeping Q near the PSD cone, and a Frobenius-ball
-penalty.
+penalty. The penalties, the L-BFGS-B loop, the final projection and the
+result assembly are the fitting core that the residual-minimization
+baseline shares; only the data term differs.
 """
 
 import warnings
@@ -47,10 +49,16 @@ class RiskProblem:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DimensionMismatch(f"mode must be one of {MODES}")
-        if self.epsilon <= 0 or self.phi <= 0:
-            raise DimensionMismatch("epsilon and phi must be positive")
+        self.config()  # checks phi and epsilon
         if self.bundle.n != self.sys.n or self.bundle.m != self.sys.m:
             raise DimensionMismatch("bundle dimensions do not match the system")
+
+    def config(self):
+        """The settings a fit reads and records in its result."""
+        settings = _fit_config(
+            self.phi, self.epsilon, self.penalty_weight, self.max_iters, self.grad_tol
+        )
+        return {"mode": self.mode, **settings}
 
     def observations(self):
         """Stacked per-episode observation matrix (one column per episode)."""
@@ -65,15 +73,28 @@ class RiskProblem:
 
 @dataclass
 class EstimateResult:
+    """One estimate, whichever estimator made it. Construction completes
+    constraint_activity: ball_margin = phi - ||Q||_F^2 and, unless a fit
+    passes the margin of its iterate before projection, psd_margin is the
+    smallest eigenvalue of Q_hat."""
+
     Q_hat: CostMatrix
-    objective_trace: list
-    grad_norm_final: float
-    constraint_activity: dict
-    converged: bool
+    objective_trace: list = field(default_factory=list)
+    grad_norm_final: float = 0.0
+    constraint_activity: dict = None
+    converged: bool = True
     n_iter: int = 0
     method: str = "risk_x"
     degenerate: bool = False
     config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        Q = self.Q_hat.Q
+        activity = dict(self.constraint_activity or {})
+        if "psd_margin" not in activity:
+            activity["psd_margin"] = float(np.linalg.eigvalsh(Q)[0])
+        activity["ball_margin"] = float(self.Q_hat.phi - np.sum(Q * Q))
+        self.constraint_activity = activity
 
     def to_json(self):
         return {
@@ -154,29 +175,51 @@ def smoothed_max_eig(Q_sym, epsilon):
     return value, 0.5 * (grad + grad.T)
 
 
-def penalized_objective(problem, Dmap):
-    """Objective/gradient closure over vech(Q) for the quasi-Newton loop."""
-    pw = problem.penalty_weight
-    eps = problem.epsilon
-    phi = problem.phi
-    data = _stacked(problem)
+def _fit_config(phi, epsilon, penalty_weight, max_iters, grad_tol):
+    """The settings the fitting core reads, checked before any data are
+    touched."""
+    if epsilon <= 0 or phi <= 0:
+        raise DimensionMismatch("epsilon and phi must be positive")
+    return dict(phi=phi, epsilon=epsilon, penalty_weight=penalty_weight,
+                max_iters=max_iters, grad_tol=grad_tol)
+
+
+def _penalized(term, n, config):
+    """Objective/gradient closure over vech(Q) for the quasi-Newton loop:
+    the data term plus squared-hinge penalties on the smoothed largest
+    eigenvalue of -Q and on ||Q||_F^2 - phi.
+
+    term(q, Qm) returns the data term's value and its gradient as a
+    symmetric matrix G whose vech gradient is Dmap' vec(G).
+    """
+    pw, eps, phi = config["penalty_weight"], config["epsilon"], config["phi"]
+    Dmap = duplication_map(n)
 
     def fun(q):
-        Qm = unvech(q, problem.sys.n)
-        risk, _, grad_m = _risk_pieces(problem, Qm, True, data)
-        f = risk
-        g = grad_m.copy()
+        Qm = unvech(q, n)
+        f, g = term(q, Qm)
         psd_val, psd_grad = smoothed_max_eig(-Qm, eps)
         if psd_val > 0:
             f += pw * psd_val**2
-            g += pw * 2.0 * psd_val * (-psd_grad)
+            g = g + pw * 2.0 * psd_val * (-psd_grad)
         ball = float(np.sum(Qm * Qm)) - phi
         if ball > 0:
             f += pw * ball**2
-            g += pw * 2.0 * ball * (2.0 * Qm)
+            g = g + pw * 2.0 * ball * (2.0 * Qm)
         return f, Dmap.T @ g.flatten(order="F")
 
     return fun
+
+
+def penalized_objective(problem):
+    """The penalized empirical risk of a RiskProblem, over vech(Q)."""
+    data = _stacked(problem)
+
+    def risk(q, Qm):
+        value, _, grad = _risk_pieces(problem, Qm, True, data)
+        return value, grad
+
+    return _penalized(risk, problem.sys.n, problem.config())
 
 
 def _finalize_q(Qm, phi):
@@ -203,6 +246,49 @@ def _finalize_q(Qm, phi):
     return Qm, psd_margin
 
 
+def _fit(objective, n, config, ftol, method, record_trace=True):
+    """The fitting core of both noisy estimators: L-BFGS-B over vech(Q)
+    from Q0 = I on a `_penalized` objective, then `_finalize_q`."""
+    trace = []
+    last = {"q": None, "f": None}
+
+    def wrapped(q):
+        f, g = objective(q)
+        last["q"], last["f"] = q.copy(), f
+        return f, g
+
+    def callback(qk):
+        if record_trace:
+            if last["q"] is not None and np.array_equal(last["q"], qk):
+                trace.append((len(trace), last["f"]))
+            else:
+                trace.append((len(trace), wrapped(qk)[0]))
+
+    q0 = vech(np.eye(n))
+    f0 = wrapped(q0)[0]
+    if record_trace:
+        trace.append((0, f0))
+    res = minimize(
+        wrapped,
+        q0,
+        jac=True,
+        method="L-BFGS-B",
+        callback=callback,
+        options={"maxiter": config["max_iters"], "gtol": config["grad_tol"], "ftol": ftol},
+    )
+    Qm, psd_margin = _finalize_q(unvech(res.x, n), config["phi"])
+    return EstimateResult(
+        CostMatrix(Qm, phi=config["phi"]),
+        objective_trace=trace,
+        grad_norm_final=float(np.linalg.norm(res.jac, np.inf)),
+        constraint_activity={"psd_margin": psd_margin},
+        converged=bool(res.success),
+        n_iter=int(res.nit),
+        method=method,
+        config=config,
+    )
+
+
 def estimate(problem):
     """Minimize the penalized empirical risk from Q0 = I.
 
@@ -211,55 +297,12 @@ def estimate(problem):
     is cleaned up by a final eigenvalue clamp / rescale. Never raises on
     non-convergence; the result carries converged=False instead.
     """
-    n = problem.sys.n
-    Dmap = duplication_map(n)
-    fun = penalized_objective(problem, Dmap)
-    q0 = vech(np.eye(n))
-    trace = []
-    last = {"q": None, "f": None}
-
-    def wrapped(q):
-        f, g = fun(q)
-        last["q"], last["f"] = q.copy(), f
-        return f, g
-
-    def callback(qk):
-        if problem.record_trace:
-            if last["q"] is not None and np.array_equal(last["q"], qk):
-                trace.append((len(trace), last["f"]))
-            else:
-                trace.append((len(trace), wrapped(qk)[0]))
-
-    f0 = wrapped(q0)[0]
-    if problem.record_trace:
-        trace.append((0, f0))
-    res = minimize(
-        wrapped,
-        q0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": problem.max_iters, "gtol": problem.grad_tol, "ftol": 1e-14},
+    method = "risk_x" if problem.mode == "state_obs" else "risk_u"
+    return _fit(
+        penalized_objective(problem),
+        problem.sys.n,
+        problem.config(),
+        1e-14,
+        method,
+        problem.record_trace,
     )
-    Qm, psd_margin = _finalize_q(unvech(res.x, n), problem.phi)
-    result = EstimateResult(
-        Q_hat=CostMatrix(Qm, phi=problem.phi),
-        objective_trace=trace,
-        grad_norm_final=float(np.linalg.norm(res.jac, np.inf)),
-        constraint_activity={
-            "psd_margin": psd_margin,
-            "ball_margin": float(problem.phi - np.sum(Qm * Qm)),
-        },
-        converged=bool(res.success),
-        n_iter=int(res.nit),
-        method="risk_x" if problem.mode == "state_obs" else "risk_u",
-        config={
-            "mode": problem.mode,
-            "phi": problem.phi,
-            "epsilon": problem.epsilon,
-            "penalty_weight": problem.penalty_weight,
-            "max_iters": problem.max_iters,
-            "grad_tol": problem.grad_tol,
-        },
-    )
-    return result

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ioclqr as io
+from ioclqr import baseline_rm
 
 
 def _pmp_residual(sys, bundle, Q):
@@ -152,6 +153,54 @@ class TestResultContract:
         res = io.estimate_rm(sys, bundle, phi=7.5)
         assert res.Q_hat.phi == 7.5
         assert res.config["phi"] == 7.5
+
+    def test_trace_per_iteration(self):
+        sys, _, bundle = _instance(87)
+        res = io.estimate_rm(sys, bundle)
+        assert [i for i, _ in res.objective_trace] == list(range(res.n_iter + 1))
+
+    @pytest.mark.parametrize("kwargs", [{"phi": -1.0}, {"epsilon": 0.0}])
+    def test_penalty_settings_checked_before_data(self, kwargs, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("data reduced before the settings were checked")
+
+        monkeypatch.setattr(baseline_rm, "_reduced_quadratic", untouched)
+        sys, _, bundle = _instance(90)
+        with pytest.raises(io.DimensionMismatch):
+            io.estimate_rm(sys, bundle, **kwargs)
+
+
+def test_halved_matrix_gradient_is_exact():
+    # the baseline hands the shared core its vech gradient g as a matrix with
+    # halved off-diagonal entries; with both penalties active the core's
+    # Dmap' vec(G + penalties) must equal g + Dmap' vec(penalties) bit for bit
+    from ioclqr.estimate_noisy import _fit_config, _penalized, smoothed_max_eig
+
+    rng = np.random.default_rng(91)
+    for n in (1, 2, 3, 4):
+        Dmap = io.duplication_map(n)
+        config = _fit_config(0.5, 1e-3, 1e4, 10, 1e-7)
+        nv = n * (n + 1) // 2
+        g = rng.standard_normal(nv) * 10.0 ** rng.integers(-6, 6, nv)
+
+        def term(q, Qm):
+            G = 0.5 * io.unvech(g, n)
+            G[np.diag_indices(n)] *= 2.0
+            return 0.0, G
+
+        for _ in range(20):
+            Qm = rng.standard_normal((n, n))
+            Qm = Qm + Qm.T  # indefinite and outside the ball
+            q = io.vech(Qm)
+            _, got = _penalized(term, n, config)(q)
+            psd_val, psd_grad = smoothed_max_eig(-Qm, 1e-3)
+            ref = g.copy()
+            if psd_val > 0:
+                ref += Dmap.T @ (1e4 * 2.0 * psd_val * (-psd_grad)).flatten(order="F")
+            ball = float(np.sum(Qm * Qm)) - 0.5
+            if ball > 0:
+                ref += Dmap.T @ (1e4 * 2.0 * ball * (2.0 * Qm)).flatten(order="F")
+            np.testing.assert_array_equal(got, ref)
 
 
 def _reduced_quadratic_loop(sys, bundle):

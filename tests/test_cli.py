@@ -177,6 +177,15 @@ class TestGenerate:
             assert abs(10 * np.log10(pu / eu) - 20.0) < 0.5
 
 
+    @pytest.mark.parametrize("flag,value", [("--snr-x", "abc"), ("--snr-u", "nan")])
+    def test_bad_snr_exits_2(self, stable_instance, tmp_path, flag, value):
+        _, _, spath, cpath = stable_instance
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--system", spath, "--cost", cpath, flag, value,
+                      "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+
+
 class TestIdentify:
     def test_rich_bundle_unique_by_rank(self, rich_instance, tmp_path):
         spath, _ = _write_instance(
@@ -250,6 +259,15 @@ class TestEstimate:
         assert np.linalg.norm(Q - cost.Q) / np.linalg.norm(cost.Q) < 1e-6
         assert doc["method"] == "exact"
         assert doc["config"]["N"] == 10 and doc["config"]["M"] == 3
+        assert doc["constraint_activity"]["ball_margin"] == doc["config"]["phi"] - np.sum(Q * Q)
+        # the same result type as the fits
+        orx = str(tmp_path / "rx.json")
+        assert cli.main(["estimate", "--system", spath, "--bundle", bpath,
+                         "--mode", "risk-x", "--out", orx]) == 0
+        with open(orx) as fh:
+            rx = json.load(fh)
+        assert set(doc) == set(rx)
+        assert set(doc["constraint_activity"]) == set(rx["constraint_activity"])
 
     def test_risk_x_matches_exact_mode(self, dataset, tmp_path):
         _, _, spath, bpath = dataset
@@ -327,6 +345,47 @@ class TestBench:
         cpath.write_text("{not json")
         rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], {"M_grid": []}, {"dt": 0}, {"system": {"B": [[0.0], [1.0]]}}],
+        ids=["list", "empty_M_grid", "zero_dt", "system_without_A"],
+    )
+    def test_wrong_shape_config_exits_1(self, tmp_path, doc):
+        cpath = tmp_path / "shape.json"
+        cpath.write_text(json.dumps(doc))
+        rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+
+
+def _error_classes():
+    import inspect
+
+    from ioclqr import errors
+
+    return [c for _, c in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(c, errors.IocError) and c is not errors.IocError]
+
+
+class TestExitCodes:
+    def test_every_error_has_one_base(self):
+        bases = (io.ParseError, io.ValidationError, io.SolverError)
+        assert [io.ParseError.exit_code, io.ValidationError.exit_code,
+                io.SolverError.exit_code] == [1, 2, 3]
+        classes = _error_classes()
+        assert len(classes) == 17
+        for cls in classes:
+            assert sum(issubclass(cls, b) for b in bases) == 1, cls.__name__
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_main_returns_exit_code(self, cls, monkeypatch, tmp_path):
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_identify", fail)
+        rc = cli.main(["identify", "--system", "s.json", "--bundle", "b.csv",
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == cls.exit_code
 
 
 class TestHelp:
