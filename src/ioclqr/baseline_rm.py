@@ -12,7 +12,7 @@ import numpy as np
 
 from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, unvech
 from .errors import DimensionMismatch
-from .estimate_noisy import EstimateResult, _fit, _fit_config, _penalized
+from .estimate_noisy import EstimateResult, _check_horizon, _fit, _fit_config, _penalized
 
 
 def _reduced_quadratic(sys, bundle):
@@ -41,10 +41,10 @@ def _reduced_quadratic(sys, bundle):
     # C = [S d] for every episode, side by side: S's rows -(x_t' kron I) D
     # for t = 2..N-1 (kron(x', I) vec(Q) = Q x), d's rows the inputs
     Dr = duplication_map(n).reshape(n, n, nv)  # Dr[j, i] is row j*n + i
-    X = np.stack([ep.x[:, 1 : N - 1] for ep in bundle.episodes])  # M x n x (N-2)
+    X = bundle.X[:, :, 1 : N - 1]  # x_2..x_{N-1}
     C = np.zeros((rows_adj + rows_u, M, nv + 1))
     C[:rows_adj, :, :nv] = -np.einsum("mjt,jiv->timv", X, Dr).reshape(rows_adj, M, nv)
-    C[rows_adj:, :, nv] = np.stack([ep.u.flatten(order="F") for ep in bundle.episodes], axis=1)
+    C[rows_adj:, :, nv] = bundle.U.transpose(2, 1, 0).reshape(rows_u, M)
     # sum over episodes of C'(I - Qh Qh')C = C'C - (Qh'C)'(Qh'C)
     T = (Qh.T @ C.reshape(len(C), -1)).reshape(-1, nv + 1)
     Cf = C.reshape(-1, nv + 1)
@@ -72,12 +72,11 @@ def estimate_rm(
     config = _fit_config(phi, epsilon, penalty_weight, max_iters, grad_tol)
     if bundle.n != sys.n or bundle.m != sys.m:
         raise DimensionMismatch("bundle dimensions do not match the system")
+    _check_horizon(bundle)
     n = sys.n
     method = "residual_minimization"
     W, v, c0 = _reduced_quadratic(sys, bundle)
-    data_scale = max(
-        float(sum(np.sum(ep.x**2) + np.sum(ep.u**2) for ep in bundle.episodes)), 1.0
-    )
+    data_scale = max(float(np.sum(bundle.X**2) + np.sum(bundle.U**2)), 1.0)
     if np.linalg.norm(W) <= 1e-14 * data_scale and np.linalg.norm(v) <= 1e-14 * data_scale:
         return EstimateResult(
             CostMatrix(np.eye(n), phi=phi), method=method, degenerate=True, config=config

@@ -42,6 +42,12 @@ class BenchConfig:
     system: object = None  # optional fixed LtiSystem; None samples per trial
 
     def __post_init__(self):
+        for name in ("n_trials", "N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.n_trials < 1 or self.N < 3:
+            raise ValueError(f"need n_trials >= 1 and N >= 3, got {self.n_trials} and {self.N}")
         if not self.M_grid:
             raise ValueError("M_grid must be nonempty")
         if self.dt <= 0:
@@ -131,15 +137,16 @@ def sample_instance(config, trial_id):
 
 
 def _realized_snr(exact, noisy, which):
+    if which == "x":
+        sigs, obs = exact.X[:, :, 1:], noisy.X[:, :, 1:]
+    else:
+        sigs, obs = exact.U, noisy.U
     num = 0.0
     den = 0.0
-    for ep_e, ep_n in zip(exact.episodes, noisy.episodes):
-        if which == "x":
-            sig = ep_e.x[:, 1:]
-            err = ep_n.x[:, 1:] - sig
-        else:
-            sig = ep_e.u
-            err = ep_n.u - sig
+    # summed episode by episode: one sum over the stack rounds differently
+    # and would change the last digits in trials.csv
+    for sig, y in zip(sigs, obs):
+        err = y - sig
         num += float(np.sum(sig * sig))
         den += float(np.sum(err * err))
     if den == 0.0:
@@ -291,12 +298,6 @@ def _worker(args):
 
 
 def default_workers():
-    env = os.environ.get("IOC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
     return min(os.cpu_count() or 1, 4)
 
 

@@ -21,9 +21,10 @@ from .core_model import (
     load_bundle,
     load_cost,
     load_system,
+    read_json,
     save_bundle,
 )
-from .errors import DimensionMismatch, IocError, ParseError, SolverNotConverged
+from .errors import DimensionMismatch, IocError, SolverNotConverged
 from .estimate_noiseless import recover_exact
 from .estimate_noisy import EstimateResult, RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle, simulate, solve_riccati
@@ -144,12 +145,7 @@ def cmd_estimate(args):
 
 def cmd_bench(args):
     if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{args.config}: {e}") from e
-        config = BenchConfig.from_json(doc)
+        config = BenchConfig.from_json(read_json(args.config))
     else:
         config = BenchConfig()
     workers = args.workers if args.workers else default_workers()
@@ -207,7 +203,7 @@ def build_parser():
     b = sub.add_parser("bench", help="run the Monte-Carlo consistency benchmark")
     b.add_argument("--config", help="benchmark config JSON (defaults used if omitted)")
     b.add_argument("--out-dir", required=True)
-    b.add_argument("--workers", type=int, default=0, help="worker processes (default: IOC_THREADS or cpu count)")
+    b.add_argument("--workers", type=int, default=0, help="worker processes (default: cpu count, at most 4)")
     b.set_defaults(func=cmd_bench)
     return p
 

@@ -5,6 +5,7 @@ triangle column-major, and the duplication matrix D satisfies
 vec(S) = D @ vech(S) for symmetric S.
 """
 
+import copy
 import csv
 import io
 import json
@@ -204,49 +205,61 @@ KINDS = ("exact", "noisy_state", "noisy_input", "noisy_both")
 class TrajectoryBundle:
     """M episodes of states and inputs over a shared horizon N.
 
-    kind records whether (and where) noise was injected; exact bundles are
-    checked against the dynamics when a system is supplied.
+    The data are two stacked read-only arrays, X (M x n x N, columns
+    x_1..x_N) and U (M x m x (N-1)); `episodes` are `Episode` views into
+    them. kind records whether (and where) noise was injected; exact
+    bundles are checked against the dynamics when a system is supplied.
     """
 
     def __init__(self, episodes, N, kind="exact", snr_db_x=None, snr_db_u=None):
-        if kind not in KINDS:
-            raise DimensionMismatch(f"kind must be one of {KINDS}")
         if not episodes:
             raise DimensionMismatch("bundle needs at least one episode")
-        eps = []
-        n = np.asarray(episodes[0].x).shape[0]
-        m = np.asarray(episodes[0].u).shape[0]
+        n, m = np.shape(episodes[0].x)[0], np.shape(episodes[0].u)[0]
         for ep in episodes:
-            x = np.array(ep.x, dtype=float)
-            u = np.array(ep.u, dtype=float)
-            if x.shape != (n, N) or u.shape != (m, N - 1):
+            xs, us = np.shape(ep.x), np.shape(ep.u)
+            if xs != (n, N) or us != (m, N - 1):
                 raise DimensionMismatch(
-                    f"episode shapes {x.shape}, {u.shape} do not match (n={n}, N={N}, m={m})"
+                    f"episode shapes {xs}, {us} do not match (n={n}, N={N}, m={m})"
                 )
-            x.setflags(write=False)
-            u.setflags(write=False)
-            eps.append(Episode(x, u))
-        self.episodes = tuple(eps)
-        self.N = int(N)
-        self.n = n
-        self.m = m
-        self.kind = kind
-        self.snr_db_x = snr_db_x
-        self.snr_db_u = snr_db_u
+        X = np.array([ep.x for ep in episodes], dtype=float)
+        self._adopt(X, np.array([ep.u for ep in episodes], dtype=float), kind, snr_db_x, snr_db_u)
+
+    @classmethod
+    def from_arrays(cls, X, U, kind, snr_db_x, snr_db_u):
+        """Bundle over stacked states X (M x n x N) and inputs U (M x m x (N-1)),
+        which are kept without a copy and made read-only."""
+        out = cls.__new__(cls)
+        out._adopt(X, U, kind, snr_db_x, snr_db_u)
+        return out
+
+    def _adopt(self, X, U, kind, snr_db_x, snr_db_u):
+        if kind not in KINDS:
+            raise DimensionMismatch(f"kind must be one of {KINDS}")
+        X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
+        M = len(X) if X.ndim == 3 else 0
+        if not M or U.ndim != 3 or U.shape != (M, U.shape[1], X.shape[2] - 1):
+            raise DimensionMismatch(
+                f"stacked shapes {X.shape}, {U.shape} are not M x n x N and M x m x (N-1)"
+            )
+        X.setflags(write=False)
+        U.setflags(write=False)
+        self.X, self.U = X, U
+        self.episodes = tuple(Episode(x, u) for x, u in zip(X, U))
+        _, self.n, self.N = X.shape
+        self.m = U.shape[1]
+        self.kind, self.snr_db_x, self.snr_db_u = kind, snr_db_x, snr_db_u
 
     @property
     def M(self):
-        return len(self.episodes)
+        return len(self.X)
 
     def initial_states(self):
-        return np.stack([ep.x[:, 0] for ep in self.episodes], axis=1)  # n x M
+        return self.X[:, :, 0].T.copy()  # n x M
 
     def check_dynamics(self, sys, dyn_tol=1e-8):
         """Max dynamics residual over the bundle; raises for exact bundles."""
-        worst = 0.0
-        for ep in self.episodes:
-            pred = sys.A @ ep.x[:, :-1] + sys.B @ ep.u
-            worst = max(worst, float(np.abs(pred - ep.x[:, 1:]).max(initial=0.0)))
+        pred = sys.A @ self.X[:, :, :-1] + sys.B @ self.U
+        worst = float(np.abs(pred - self.X[:, :, 1:]).max(initial=0.0))
         if self.kind == "exact" and worst > dyn_tol:
             raise DimensionMismatch(
                 f"exact bundle violates dynamics: residual {worst:.3e} > {dyn_tol:.1e}"
@@ -254,14 +267,11 @@ class TrajectoryBundle:
         return worst
 
     def subset(self, M):
-        """First M episodes as a new bundle (shared arrays)."""
+        """First M episodes as a new bundle (shared arrays and episodes)."""
         if not 1 <= M <= self.M:
             raise DimensionMismatch(f"M={M} outside 1..{self.M}")
-        out = TrajectoryBundle.__new__(TrajectoryBundle)
-        out.episodes = self.episodes[:M]
-        out.N, out.n, out.m = self.N, self.n, self.m
-        out.kind = self.kind
-        out.snr_db_x, out.snr_db_u = self.snr_db_x, self.snr_db_u
+        out = copy.copy(self)
+        out.X, out.U, out.episodes = self.X[:M], self.U[:M], self.episodes[:M]
         return out
 
 
@@ -280,12 +290,18 @@ def save_system(sys, path):
         fh.write("\n")
 
 
-def load_system(path):
+def read_json(path):
+    """The JSON document at path; text that does not decode or parse raises
+    ParseError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}") from e
+
+
+def load_system(path):
+    doc = read_json(path)
     try:
         A = np.array(doc["A"], dtype=float)
         B = np.array(doc["B"], dtype=float)
@@ -311,11 +327,7 @@ def save_cost(cost, path):
 
 
 def load_cost(path, psd_tol=None):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ParseError(f"{path}: {e}") from e
+    doc = read_json(path)
     try:
         Q = np.array(doc["Q"], dtype=float)
         n = int(doc["n"])
@@ -348,14 +360,10 @@ def save_bundle(bundle, path, comments=()):
             + [f"x{i+1}" for i in range(n)]
             + [f"u{j+1}" for j in range(m)]
         )
-        for i, ep in enumerate(bundle.episodes, start=1):
+        for i, (x, u) in enumerate(zip(bundle.X, bundle.U), start=1):
             for t in range(1, N + 1):
-                row = [str(i), str(t)] + [_fmt(v) for v in ep.x[:, t - 1]]
-                if t < N:
-                    row += [_fmt(v) for v in ep.u[:, t - 1]]
-                else:
-                    row += [""] * m
-                w.writerow(row)
+                us = [_fmt(v) for v in u[:, t - 1]] if t < N else [""] * m
+                w.writerow([str(i), str(t)] + [_fmt(v) for v in x[:, t - 1]] + us)
 
 
 def load_bundle(path):
@@ -412,23 +420,21 @@ def load_bundle(path):
     if len(Ns) != 1:
         raise ParseError(f"{path}: episodes disagree on horizon: {sorted(Ns)}")
     N = Ns.pop()
-    episodes = []
-    for epi in sorted(rows):
+    X = np.empty((len(rows), n, N))
+    U = np.empty((len(rows), m, N - 1))
+    for e, epi in enumerate(sorted(rows)):
         ts = rows[epi]
         if sorted(ts) != list(range(1, N + 1)):
             raise ParseError(f"{path}: episode {epi} is missing time steps")
-        x = np.empty((n, N))
-        u = np.empty((m, N - 1))
         for t in range(1, N + 1):
             xs, us = ts[t]
-            x[:, t - 1] = xs
+            X[e, :, t - 1] = xs
             if t < N:
                 if len(us) != m:
                     raise ParseError(
                         f"{path}: episode {epi} t={t} has {len(us)} inputs, wanted {m}"
                     )
-                u[:, t - 1] = us
+                U[e, :, t - 1] = us
             elif us:
                 raise ParseError(f"{path}: episode {epi} has inputs at t=N")
-        episodes.append(Episode(x, u))
-    return TrajectoryBundle(episodes, N, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+    return TrajectoryBundle.from_arrays(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)

@@ -61,14 +61,10 @@ class RiskProblem:
         return {"mode": self.mode, **settings}
 
     def observations(self):
-        """Stacked per-episode observation matrix (one column per episode)."""
-        if self.mode == "state_obs":
-            return np.stack(
-                [ep.x[:, 1:].flatten(order="F") for ep in self.bundle.episodes], axis=1
-            )
-        return np.stack(
-            [ep.u.flatten(order="F") for ep in self.bundle.episodes], axis=1
-        )
+        """Observation matrix, one column per episode: x_2..x_N (state_obs)
+        or u_1..u_{N-1} (input_obs), stacked."""
+        Y = _stacked(self)[1]
+        return Y.reshape(-1, Y.shape[2])
 
 
 @dataclass
@@ -113,10 +109,11 @@ class EstimateResult:
 
 
 def _stacked(problem):
-    """Initial states (n x M) and observations ((N-1) x k x M), stacked once
-    per fit rather than once per evaluation."""
-    Y = problem.observations()
-    return problem.bundle.initial_states(), Y.reshape(problem.bundle.N - 1, -1, Y.shape[1])
+    """Initial states (n x M) and observations ((N-1) x k x M), laid out
+    once per fit rather than once per evaluation."""
+    b = problem.bundle
+    Y = b.X[:, :, 1:] if problem.mode == "state_obs" else b.U
+    return b.initial_states(), Y.transpose(2, 1, 0).copy()
 
 
 def _risk_pieces(problem, Qm, want_grad, data):
@@ -173,6 +170,13 @@ def smoothed_max_eig(Q_sym, epsilon):
     soft = e / e.sum()
     grad = (V * soft) @ V.T
     return value, 0.5 * (grad + grad.T)
+
+
+def _check_horizon(bundle):
+    """Both estimators refuse N < 3: at N = 2 the only input is
+    u_1 = -B' lambda_2 = 0 whatever Q is, so the data say nothing about Q."""
+    if bundle.N < 3:
+        raise DimensionMismatch(f"need a horizon N >= 3 to estimate Q, got N={bundle.N}")
 
 
 def _fit_config(phi, epsilon, penalty_weight, max_iters, grad_tol):
@@ -250,30 +254,23 @@ def _fit(objective, n, config, ftol, method, record_trace=True):
     """The fitting core of both noisy estimators: L-BFGS-B over vech(Q)
     from Q0 = I on a `_penalized` objective, then `_finalize_q`."""
     trace = []
-    last = {"q": None, "f": None}
 
-    def wrapped(q):
+    def first_logged(q):
+        # L-BFGS-B evaluates q0 first: that value is trace point 0
         f, g = objective(q)
-        last["q"], last["f"] = q.copy(), f
+        if not trace:
+            trace.append((0, f))
         return f, g
 
-    def callback(qk):
-        if record_trace:
-            if last["q"] is not None and np.array_equal(last["q"], qk):
-                trace.append((len(trace), last["f"]))
-            else:
-                trace.append((len(trace), wrapped(qk)[0]))
+    def callback(intermediate_result):
+        trace.append((len(trace), float(intermediate_result.fun)))
 
-    q0 = vech(np.eye(n))
-    f0 = wrapped(q0)[0]
-    if record_trace:
-        trace.append((0, f0))
     res = minimize(
-        wrapped,
-        q0,
+        first_logged if record_trace else objective,
+        vech(np.eye(n)),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
+        callback=callback if record_trace else None,
         options={"maxiter": config["max_iters"], "gtol": config["grad_tol"], "ftol": ftol},
     )
     Qm, psd_margin = _finalize_q(unvech(res.x, n), config["phi"])
@@ -297,6 +294,7 @@ def estimate(problem):
     is cleaned up by a final eigenvalue clamp / rescale. Never raises on
     non-convergence; the result carries converged=False instead.
     """
+    _check_horizon(problem.bundle)
     method = "risk_x" if problem.mode == "state_obs" else "risk_u"
     return _fit(
         penalized_objective(problem),

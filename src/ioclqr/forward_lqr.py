@@ -310,11 +310,12 @@ def generate_bundle(sys, Q, N, M, init_sampler=None, seed=0):
     gains = solve_riccati(sys, Q, N)
     if init_sampler is None:
         init_sampler = lambda rng: rng.uniform(-5.0, 5.0, size=sys.n)
-    episodes = []
-    for ss in _as_seedseq(seed).spawn(M):
-        rng = np.random.default_rng(ss)
-        episodes.append(simulate(sys, gains, init_sampler(rng)))
-    return TrajectoryBundle(episodes, N, kind="exact")
+    X = np.empty((M, sys.n, N))
+    U = np.empty((M, sys.m, N - 1))
+    for i, ss in enumerate(_as_seedseq(seed).spawn(M)):
+        ep = simulate(sys, gains, init_sampler(np.random.default_rng(ss)))
+        X[i], U[i] = ep.x, ep.u
+    return TrajectoryBundle.from_arrays(X, U, "exact", None, None)
 
 
 def add_noise(bundle, snr_db_x=None, snr_db_u=None, seed=0):
@@ -348,18 +349,15 @@ def add_noise(bundle, snr_db_x=None, snr_db_u=None, seed=0):
         p_sig = float(np.mean(sig * sig))
         p_noise = float(np.mean(v * v))
         if p_sig == 0.0 or p_noise == 0.0:
-            return sig.copy()
+            return sig
         v *= np.sqrt(p_sig * 10.0 ** (-snr_db / 10.0) / p_noise)
         return sig + v
 
-    episodes = []
-    for ep, ss in zip(bundle.episodes, _as_seedseq(seed).spawn(bundle.M)):
+    X, U = bundle.X.copy(), bundle.U.copy()
+    for i, ss in enumerate(_as_seedseq(seed).spawn(bundle.M)):
         rng = np.random.default_rng(ss)
-        x = ep.x.copy()
-        u = ep.u.copy()
         if snr_x is not None:
-            x[:, 1:] = _noisy(ep.x[:, 1:], snr_x, rng)
+            X[i, :, 1:] = _noisy(bundle.X[i, :, 1:], snr_x, rng)
         if snr_u is not None:
-            u = _noisy(ep.u, snr_u, rng)
-        episodes.append(Episode(x, u))
-    return TrajectoryBundle(episodes, bundle.N, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+            U[i] = _noisy(bundle.U[i], snr_u, rng)
+    return TrajectoryBundle.from_arrays(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)

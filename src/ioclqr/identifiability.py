@@ -15,6 +15,12 @@ from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
 
 VERDICTS = ("unique_by_rank", "unique_by_thm3", "unique_by_dual", "not_determined")
 
+# prop2_certificate's iteration budget, stationarity, collapse and rank tolerances
+PROP2_MAX_ITERS = 50000
+PROP2_STAT_TOL = 1e-9
+PROP2_COLLAPSE_TOL = 1e-8
+PROP2_RANK_EIG_TOL = 1e-6
+
 
 @dataclass
 class Prop2Record:
@@ -74,8 +80,7 @@ def build_A_matrix(sys, bundle):
         raise DimensionMismatch("need N >= 4 for an informative data matrix")
     if bundle.n != n or bundle.m != m:
         raise DimensionMismatch("bundle dimensions do not match the system")
-    X = np.stack([ep.x for ep in bundle.episodes])  # M x n x N, columns x_1..x_N
-    M = X.shape[0]
+    X, M = bundle.X, bundle.M
     # L[k, e, j, k'] is row k, column j*n + k' of L_t for episode e; keeping the
     # contracted row index first makes each step one matmul over all episodes
     L = np.zeros((n, M, n, n))
@@ -91,9 +96,7 @@ def build_A_matrix(sys, bundle):
 def stacked_inputs_rhs(bundle):
     """-vec of u_{1:N-2} stacked over episodes, the right-hand side paired
     with build_A_matrix."""
-    return -np.concatenate(
-        [ep.u[:, : bundle.N - 2].flatten(order="F") for ep in bundle.episodes]
-    )
+    return -bundle.U[:, :, : bundle.N - 2].transpose(0, 2, 1).ravel()
 
 
 def _factor(AD, tol):
@@ -131,19 +134,12 @@ def check_thm3(bundle):
     n, N, M = bundle.n, bundle.N, bundle.M
     if N < n + 2 or M < n:
         raise HypothesisUnmet(f"need N >= n+2 and M >= n, got N={N}, M={M}, n={n}")
-    X = np.stack([ep.x[:, N - 2] for ep in bundle.episodes])  # M x n
+    X = bundle.X[:, :, N - 2]  # M x n
     sv = np.linalg.svd(X, compute_uv=False)
     return int((sv > rank_tol(sv, X.shape)).sum()) == n
 
 
-def prop2_certificate(
-    Q_prime,
-    kernel_basis,
-    rank_eig_tol=1e-6,
-    max_iters=50000,
-    stat_tol=1e-9,
-    collapse_tol=1e-8,
-):
+def prop2_certificate(Q_prime, kernel_basis):
     """Dual-SDP non-degeneracy certificate for a rank-deficient data matrix.
 
     Solves min tr(Q' Phi) over Phi >= 0 with tr(dQ_k Phi) = 0 by projected
@@ -182,7 +178,7 @@ def prop2_certificate(
 
     scale = max(float(np.linalg.norm(Cg)), 1e-12)
     stages = scale * np.array([1e2, 1e4, 1e6, 1e8, 1e10])
-    per_stage = max_iters // len(stages)
+    per_stage = PROP2_MAX_ITERS // len(stages)
     Phi = np.eye(n)
     total = 0
     for rho in stages:
@@ -198,17 +194,17 @@ def prop2_certificate(
             # gradient-mapping stationarity: moved/step is the projected
             # gradient norm. A raw movement test would pass anywhere once the
             # step shrinks with rho, declaring junk iterates optimal.
-            if moved <= stat_tol * step * max(1.0, scale):
+            if moved <= PROP2_STAT_TOL * step * max(1.0, scale):
                 break
     w, V2 = np.linalg.eigh(Phi)
     viol = C @ Phi.ravel()
     wmax = float(w.max(initial=0.0))
     value = float(np.sum(Qp * Phi))
     vnorm = float(np.linalg.norm(Phi))
-    if wmax <= collapse_tol:
+    if wmax <= PROP2_COLLAPSE_TOL:
         # Collapsed iterate: the only optimum is Phi = 0, whose null space is
         # all of S^n, so nothing can be certified. Without an absolute floor a
-        # relative eigenvalue threshold would read the ~stat_tol roundoff as
+        # relative eigenvalue threshold would read the ~PROP2_STAT_TOL roundoff as
         # rank >= 1 and fabricate a certificate.
         rank = 0
     else:
@@ -222,7 +218,7 @@ def prop2_certificate(
             raise SolverNotConverged(f"dual iterate infeasible after {total} iterations")
         if abs(value) > 1e-3 * qscale * vnorm:
             raise SolverNotConverged(f"dual iterate suboptimal after {total} iterations")
-        rank = int((w > wmax * rank_eig_tol).sum())
+        rank = int((w > wmax * PROP2_RANK_EIG_TOL).sum())
     G2 = V2[:, : n - rank]
     if rank == n:
         # no null space, N_Phi = {0}: trivially certified

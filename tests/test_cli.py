@@ -347,10 +347,19 @@ class TestBench:
         rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_binary_config_exits_1(self, tmp_path):
+        cpath = tmp_path / "bin.json"
+        cpath.write_bytes(b"\xff\xfe\x00\x81{")
+        rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+
     @pytest.mark.parametrize(
         "doc",
-        [[1, 2], {"M_grid": []}, {"dt": 0}, {"system": {"B": [[0.0], [1.0]]}}],
-        ids=["list", "empty_M_grid", "zero_dt", "system_without_A"],
+        [[1, 2], {"M_grid": []}, {"dt": 0}, {"system": {"B": [[0.0], [1.0]]}},
+         {"n_trials": "x", "N": 12, "M_grid": [4]}, {"n_trials": 0, "N": 12, "M_grid": [4]},
+         {"n_trials": 1, "N": 2, "M_grid": [4]}],
+        ids=["list", "empty_M_grid", "zero_dt", "system_without_A", "string_n_trials",
+             "zero_trials", "horizon_2"],
     )
     def test_wrong_shape_config_exits_1(self, tmp_path, doc):
         cpath = tmp_path / "shape.json"

@@ -124,6 +124,22 @@ class TestBundle:
         with pytest.raises(io.DimensionMismatch):
             b.subset(9)
 
+    def test_from_arrays(self, rich_instance):
+        b = rich_instance["bundle"]
+        assert b.X.shape == (4, 2, 9) and b.U.shape == (4, 1, 8)
+        for i, ep in enumerate(b.episodes):
+            assert np.shares_memory(ep.x, b.X) and np.array_equal(ep.x, b.X[i])
+            assert np.shares_memory(ep.u, b.U) and np.array_equal(ep.u, b.U[i])
+        X, U = np.array(b.X), np.array(b.U)
+        b2 = io.TrajectoryBundle.from_arrays(X, U, "noisy_state", 10.0, None)
+        assert (b2.M, b2.n, b2.N, b2.m, b2.kind) == (4, 2, 9, 1, "noisy_state")
+        assert b2.X is X and not X.flags.writeable and not b2.episodes[0].x.flags.writeable
+        for bad in ((X[0], U), (X, U[:, :, 1:]), (X, U[:3]), (X[:0], U[:0])):
+            with pytest.raises(io.DimensionMismatch):
+                io.TrajectoryBundle.from_arrays(*bad, "exact", None, None)
+        with pytest.raises(io.DimensionMismatch):
+            io.TrajectoryBundle.from_arrays(np.array(b.X), np.array(b.U), "sorta_noisy", None, None)
+
     def test_check_dynamics(self, rich_instance):
         b, sys = rich_instance["bundle"], rich_instance["sys"]
         b.check_dynamics(sys)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ioclqr as io
+from ioclqr import estimate_noisy
 
 
 def _noisy_problem(seed, mode="state_obs", n=2, N=10, M=3, **kw):
@@ -213,6 +214,33 @@ class TestEstimate:
         _, _, _, _, prob = _noisy_problem(69, N=8, M=2, record_trace=False)
         res = io.estimate(prob)
         assert res.objective_trace == []
+
+    def test_start_point_evaluated_once(self, monkeypatch):
+        # trace point 0 is L-BFGS-B's own first evaluation, not a second one
+        at_start = []
+        smoothed = estimate_noisy.smoothed_max_eig
+
+        def spy(Q_sym, epsilon):
+            at_start.append(np.array_equal(Q_sym, -np.eye(len(Q_sym))))
+            return smoothed(Q_sym, epsilon)
+
+        monkeypatch.setattr(estimate_noisy, "smoothed_max_eig", spy)
+        sys, _, _, noisy, prob = _noisy_problem(69, N=8, M=2)
+        res = io.estimate(prob)
+        assert sum(at_start) == 1
+        q0 = io.vech(np.eye(2))
+        assert res.objective_trace[0][1] == estimate_noisy.penalized_objective(prob)(q0)[0]
+        at_start.clear()
+        io.estimate_rm(sys, noisy)
+        assert sum(at_start) == 1
+
+    def test_horizon_below_3_refused(self):
+        # at N = 2, u_1 = 0 whatever Q is: nothing to estimate from
+        sys, _, _, noisy, prob = _noisy_problem(70, N=2, M=3)
+        with pytest.raises(io.DimensionMismatch, match="N >= 3"):
+            io.estimate(prob)
+        with pytest.raises(io.DimensionMismatch, match="N >= 3"):
+            io.estimate_rm(sys, noisy)
 
     def test_input_mode_method_name(self):
         _, _, _, _, prob = _noisy_problem(69, mode="input_obs", N=8, M=2)
