@@ -3,12 +3,14 @@
 Minimizes the stationarity residuals of the optimality conditions directly on
 the noisy observations, jointly over Q and the per-episode adjoint sequences
 (lambda_N = 0). The adjoints enter quadratically, so they are eliminated in
-closed form through an orthogonal projector; what remains is a convex
+closed form through the block-tridiagonal normal equations, factored once in
+band storage (O(N) time and memory in the horizon); what remains is a convex
 quadratic in vech(Q), the data term of the fitting core the risk estimator
 uses (same penalties, L-BFGS-B loop and final projection).
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, unvech
 from .errors import DimensionMismatch
@@ -16,39 +18,36 @@ from .estimate_noisy import EstimateResult, _check_horizon, _fit, _fit_config, _
 
 
 def _reduced_quadratic(sys, bundle):
-    """Eliminate the adjoints: residual(Q, lambda) = H lambda + S_i vech(Q) + d_i
+    """Eliminate the adjoints: residual(Q, lambda) = H lambda + C_i [vech(Q); 1]
     per episode, with H shared. Partial minimization over lambda leaves
-    g(q) = q'Wq + 2v'q + c0."""
-    n, m, N = sys.n, sys.m, bundle.N
+    g(q) = q'Wq + 2v'q + c0, read off G = sum C'C - (H'C)'(H'H)^{-1}(H'C).
+
+    H is never formed: H'H is block tridiagonal in lambda_2..lambda_{N-1}
+    (diagonal I + BB' + AA', the first without AA'; superdiagonal -A'), so one
+    band Cholesky makes this O(N n^3 + M N n^2 nv) with memory linear in N."""
+    n, N, M = sys.n, bundle.N, bundle.M
     A, B = sys.A, sys.B
-    nl = (N - 2) * n  # unknowns lambda_2..lambda_{N-1}
-    rows_adj = (N - 2) * n  # lambda_t - A'lambda_{t+1} - Q y_t, t = 2..N-1
-    rows_u = (N - 1) * m  # mu_t + B'lambda_{t+1}, t = 1..N-1
-    H = np.zeros((rows_adj + rows_u, nl))
-    for t in range(2, N):
-        rb = (t - 2) * n
-        H[rb : rb + n, (t - 2) * n : (t - 1) * n] = np.eye(n)
-        if t + 1 <= N - 1:
-            H[rb : rb + n, (t - 1) * n : t * n] = -A.T
-    for t in range(1, N):
-        rb = rows_adj + (t - 1) * m
-        if t + 1 <= N - 1:
-            H[rb : rb + m, (t - 1) * n : t * n] = B.T
-    # orthogonal projector onto the complement of range(H)
-    Qh, _ = np.linalg.qr(H)
-    nv = n * (n + 1) // 2
-    M = bundle.M
-    # C = [S d] for every episode, side by side: S's rows -(x_t' kron I) D
-    # for t = 2..N-1 (kron(x', I) vec(Q) = Q x), d's rows the inputs
+    K, nv = N - 2, n * (n + 1) // 2  # K block unknowns lambda_2..lambda_{N-1}
+    # block column k of H'H is [-A'; D_k] on block rows k-1, k; its entry (r, b)
+    # is row n-1+r-b of band column k*n + b (upper storage, half-bandwidth 2n-1)
+    cols = np.tile(np.vstack([-A.T, np.eye(n) + B @ B.T + A @ A.T]), (K, 1, 1))
+    cols[0, :n] = 0.0
+    cols[0, n:] -= A @ A.T
+    ab = np.zeros((2 * n, K, n))
+    for b in range(n):
+        ab[n - 1 - b :, :, b] = cols[:, : n + 1 + b, b].T
+    cb = sla.cholesky_banded(ab.reshape(2 * n, K * n))
+    # C's adjoint-row blocks: S's rows -(x_t' kron I) D for t = 2..N-1
+    # (kron(x', I) vec(Q) = Q x); its input-row blocks: the inputs, column nv
     Dr = duplication_map(n).reshape(n, n, nv)  # Dr[j, i] is row j*n + i
-    X = bundle.X[:, :, 1 : N - 1]  # x_2..x_{N-1}
-    C = np.zeros((rows_adj + rows_u, M, nv + 1))
-    C[:rows_adj, :, :nv] = -np.einsum("mjt,jiv->timv", X, Dr).reshape(rows_adj, M, nv)
-    C[rows_adj:, :, nv] = bundle.U.transpose(2, 1, 0).reshape(rows_u, M)
-    # sum over episodes of C'(I - Qh Qh')C = C'C - (Qh'C)'(Qh'C)
-    T = (Qh.T @ C.reshape(len(C), -1)).reshape(-1, nv + 1)
-    Cf = C.reshape(-1, nv + 1)
-    G = Cf.T @ Cf - T.T @ T
+    S = -np.einsum("mjt,jiv->timv", bundle.X[:, :, 1 : N - 1], Dr)
+    # block k of H'C is C_adj[k] - A C_adj[k-1] + B C_u[k], all episodes at once
+    BU = np.einsum("ij,mjt->tim", B, bundle.U[:, :, :K])
+    HtC = np.concatenate([S, BU[..., None]], axis=-1)
+    HtC[1:, ..., :nv] -= np.einsum("ij,tjmv->timv", A, S[:-1])
+    Y = sla.cho_solve_banded((cb, False), HtC.reshape(K * n, -1))
+    HtC, Y, Sf = HtC.reshape(-1, nv + 1), Y.reshape(-1, nv + 1), S.reshape(-1, nv)
+    G = sla.block_diag(Sf.T @ Sf, np.sum(bundle.U**2)) - HtC.T @ Y
     return G[:nv, :nv], G[:nv, nv], float(G[nv, nv])
 
 

@@ -42,16 +42,23 @@ class BenchConfig:
     system: object = None  # optional fixed LtiSystem; None samples per trial
 
     def __post_init__(self):
-        for name in ("n_trials", "N"):
+        for name in ("n_trials", "N", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_trials < 1 or self.N < 3:
-            raise ValueError(f"need n_trials >= 1 and N >= 3, got {self.n_trials} and {self.N}")
+        if self.n_trials < 1 or self.N < 3 or self.master_seed < 0:
+            raise ValueError(f"need n_trials >= 1, N >= 3 and master_seed >= 0, got "
+                             f"{self.n_trials}, {self.N} and {self.master_seed}")
+        for name in ("phi", "dt", "snr_db_x", "snr_db_u"):
+            value = getattr(self, name)
+            if value is None and name.startswith("snr"):
+                continue  # no noise on that component, as in add_noise
+            real = not isinstance(value, bool) and isinstance(value, (int, float, np.number))
+            positive = name in ("phi", "dt")
+            if not real or not np.isfinite(value) or (positive and value <= 0):
+                raise ValueError(f"{name} must be a finite {'positive ' * positive}real, got {value!r}")
         if not self.M_grid:
             raise ValueError("M_grid must be nonempty")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         self.M_grid = tuple(sorted(int(m) for m in self.M_grid))
 
     @classmethod

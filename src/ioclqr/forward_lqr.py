@@ -63,13 +63,12 @@ def solve_riccati(sys, Q, N):
     Ps = [None] * (N - 1)
     Ps[N - 2] = P  # P_N
     for t in range(N - 1, 0, -1):
-        G = B.T @ P @ B + np.eye(sys.m)
-        try:
-            cf = sla.cho_factor(G, lower=True)
-        except np.linalg.LinAlgError as e:  # pragma: no cover - PSD P keeps G PD
-            raise NumericalFailure(f"(B'PB + I) not positive definite at t={t}") from e
+        # the LAPACK calls of cho_factor/cho_solve, without their per-step checks
+        cf, info = lapack.dpotrf(B.T @ P @ B + np.eye(sys.m), lower=1, clean=0)
+        if info != 0:  # pragma: no cover - PSD P keeps B'PB + I PD
+            raise NumericalFailure(f"(B'PB + I) not positive definite at t={t}")
         BtPA = B.T @ P @ A
-        Ks[t - 1] = -sla.cho_solve(cf, BtPA)
+        Ks[t - 1] = -lapack.dpotrs(cf, BtPA, lower=1)[0]
         P = A.T @ P @ A + Qm + BtPA.T @ Ks[t - 1]
         P = 0.5 * (P + P.T)
         if t >= 2:

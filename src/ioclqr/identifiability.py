@@ -60,6 +60,8 @@ class IdentifiabilityReport:
                 "rank_Phi": self.prop2.rank_Phi,
                 "intersection_trivial": self.prop2.intersection_trivial,
                 "dual_value": self.prop2.dual_value,
+                "n_iter": self.prop2.n_iter,
+                "max_violation": self.prop2.max_violation,
             }
         return doc
 

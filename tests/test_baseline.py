@@ -253,3 +253,70 @@ def test_reduced_quadratic_matches_loop(n, m, N, M):
     np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12 * scale)
     assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=1e-12 * scale)
+
+
+def _reduced_quadratic_qr(sys, bundle):
+    """Dense route: form H, take its Householder QR and project C = [S d]
+    onto the complement of range(H), all episodes side by side."""
+    n, m, N, M = sys.n, sys.m, bundle.N, bundle.M
+    rows_adj, rows_u = (N - 2) * n, (N - 1) * m
+    H = np.zeros((rows_adj + rows_u, rows_adj))
+    for t in range(2, N):
+        rb = (t - 2) * n
+        H[rb : rb + n, rb : rb + n] = np.eye(n)
+        if t + 1 <= N - 1:
+            H[rb : rb + n, rb + n : rb + 2 * n] = -sys.A.T
+    for t in range(1, N - 1):
+        rb = rows_adj + (t - 1) * m
+        H[rb : rb + m, (t - 1) * n : t * n] = sys.B.T
+    Qh, _ = np.linalg.qr(H)
+    nv = n * (n + 1) // 2
+    Dr = io.duplication_map(n).reshape(n, n, nv)
+    C = np.zeros((rows_adj + rows_u, M, nv + 1))
+    X = bundle.X[:, :, 1 : N - 1]
+    C[:rows_adj, :, :nv] = -np.einsum("mjt,jiv->timv", X, Dr).reshape(rows_adj, M, nv)
+    C[rows_adj:, :, nv] = bundle.U.transpose(2, 1, 0).reshape(rows_u, M)
+    T = (Qh.T @ C.reshape(len(C), -1)).reshape(-1, nv + 1)
+    Cf = C.reshape(-1, nv + 1)
+    G = Cf.T @ Cf - T.T @ T
+    return G[:nv, :nv], G[:nv, nv], float(G[nv, nv])
+
+
+def _noisy_case(seed, n, m, N, M):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
+    sys = io.LtiSystem(A, rng.standard_normal((n, m)))
+    G = rng.standard_normal((n, n))
+    exact = io.generate_bundle(sys, G @ G.T / n, N, M, seed=seed + 1)
+    return sys, io.add_noise(exact, snr_db_x=15.0, snr_db_u=20.0, seed=seed + 2)
+
+
+@pytest.mark.parametrize("n,m,N,M", [(1, 1, 3, 2), (2, 1, 50, 10), (2, 2, 120, 5), (3, 1, 400, 10)])
+def test_reduced_quadratic_matches_dense_qr(n, m, N, M):
+    # N = 3 leaves H a single block column
+    from ioclqr.baseline_rm import _reduced_quadratic
+
+    sys, bundle = _noisy_case(96 + n + N, n, m, N, M)
+    W, v, c0 = _reduced_quadratic(sys, bundle)
+    W_ref, v_ref, c0_ref = _reduced_quadratic_qr(sys, bundle)
+    scale = max(np.abs(W_ref).max(), np.abs(v_ref).max(), abs(c0_ref))
+    np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12 * scale)
+    assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_reduced_quadratic_memory_linear_in_horizon():
+    import tracemalloc
+
+    from ioclqr.baseline_rm import _reduced_quadratic
+
+    sys, bundle = _noisy_case(97, 2, 1, 1600, 10)
+    _reduced_quadratic(sys, bundle)  # warm-up: imports and caches stay out
+    tracemalloc.start()
+    try:
+        _reduced_quadratic(sys, bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the dense H and its QR need about 438 MB

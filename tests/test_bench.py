@@ -255,3 +255,9 @@ class TestFailureHandling:
             bh.BenchConfig(M_grid=())
         with pytest.raises(ValueError):
             bh.BenchConfig(dt=0.0)
+        with pytest.raises(ValueError):
+            bh.BenchConfig(phi=float("nan"))
+        with pytest.raises(ValueError):
+            bh.BenchConfig(master_seed=True)
+        # a null SNR leaves that component noise-free, as in add_noise
+        assert bh.BenchConfig(snr_db_x=None).snr_db_x is None

@@ -357,9 +357,14 @@ class TestBench:
         "doc",
         [[1, 2], {"M_grid": []}, {"dt": 0}, {"system": {"B": [[0.0], [1.0]]}},
          {"n_trials": "x", "N": 12, "M_grid": [4]}, {"n_trials": 0, "N": 12, "M_grid": [4]},
-         {"n_trials": 1, "N": 2, "M_grid": [4]}],
+         {"n_trials": 1, "N": 2, "M_grid": [4]},
+         {"n_trials": 1, "N": 12, "M_grid": [4], "phi": "x"},
+         {"n_trials": 1, "N": 12, "M_grid": [4], "phi": -1},
+         {"n_trials": 1, "N": 12, "M_grid": [4], "snr_db_x": "x"},
+         {"n_trials": 1, "N": 12, "M_grid": [4], "master_seed": -1}],
         ids=["list", "empty_M_grid", "zero_dt", "system_without_A", "string_n_trials",
-             "zero_trials", "horizon_2"],
+             "zero_trials", "horizon_2", "string_phi", "negative_phi", "string_snr",
+             "negative_seed"],
     )
     def test_wrong_shape_config_exits_1(self, tmp_path, doc):
         cpath = tmp_path / "shape.json"

@@ -315,5 +315,7 @@ class TestAssess:
             "rank_Phi",
             "intersection_trivial",
             "dual_value",
+            "n_iter",
+            "max_violation",
         }
         assert doc["rank_AD"] == 5 and doc["kernel_dim"] == 1
