@@ -2,24 +2,27 @@
 
 Chain of tests, cheapest first: full column rank of the stacked data matrix,
 the second-last-state spanning condition, and finally a dual-SDP
-non-degeneracy certificate for the rank-deficient case.
+non-degeneracy certificate for the rank-deficient case. The certificate and
+the kernel recovery in estimate_noiseless share one primal-dual barrier path
+for max lam_min(Q' + sum alpha_k dQ_k) and its trace-normalized dual.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core_model import duplication_map, rank_tol, unvech, vech
+from .core_model import duplication_map, psd_tol_for, rank_tol, unvech, vech
 from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
 
 VERDICTS = ("unique_by_rank", "unique_by_thm3", "unique_by_dual", "not_determined")
 
-# prop2_certificate's iteration budget, stationarity, collapse and rank tolerances
-PROP2_MAX_ITERS = 50000
-PROP2_STAT_TOL = 1e-9
-PROP2_COLLAPSE_TOL = 1e-8
-PROP2_RANK_EIG_TOL = 1e-6
+# Precisions of the dual certificate, relative to ||Q'||: the duality gap the
+# barrier path closes, and the level at which an eigenvalue of the optimal
+# slack counts as zero when rank_Phi is read (the data's own precision: the
+# worked example's 4-decimal cost dips 3e-5 below the PSD cone).
+PROP2_GAP_TOL = 1e-10
+PROP2_PRECISION = 1e-2
 
 
 @dataclass
@@ -29,7 +32,17 @@ class Prop2Record:
     intersection_trivial: bool
     dual_value: float
     max_violation: float
-    n_iter: int
+    n_iter: int  # Newton steps of the barrier path
+    gap: float  # duality gap where the path stopped; inf when it found no bound
+
+
+class _PathEnd(NamedTuple):
+    bounded: bool
+    alpha: np.ndarray
+    lam: float
+    Phi: Optional[np.ndarray]  # trace-1 dual point at gap <= PROP2_PRECISION ||Q'||
+    gap: float
+    n_steps: int
 
 
 @dataclass
@@ -62,6 +75,7 @@ class IdentifiabilityReport:
                 "dual_value": self.prop2.dual_value,
                 "n_iter": self.prop2.n_iter,
                 "max_violation": self.prop2.max_violation,
+                "gap": self.prop2.gap if np.isfinite(self.prop2.gap) else None,
             }
         return doc
 
@@ -141,87 +155,87 @@ def check_thm3(bundle):
     return int((sv > rank_tol(sv, X.shape)).sum()) == n
 
 
+def _max_min_eig(Q_prime, kernel_basis):
+    """Barrier path for max t s.t. S = Q' + sum_k alpha_k dQ_k - t I >= 0.
+
+    Damped Newton steps on t/mu + log det S in y = (alpha, t), with mu cut
+    tenfold whenever the Newton decrement is below 1/2, until the duality gap
+    is under PROP2_GAP_TOL ||Q'||. Each step with decrement below 1 also
+    yields the dual point Phi = mu (S^-1 - S^-1 dS S^-1) of the
+    trace-normalized problem min tr(Q' Phi) s.t. Phi >= 0, tr Phi = 1,
+    tr(dQ_k Phi) = 0: its equalities hold exactly, Phi >= 0 because the
+    decrement bounds ||S^-1/2 dS S^-1/2||, and its gap is tr(S Phi).
+    Phi is kept from the first step whose gap is under PROP2_PRECISION ||Q'||.
+    bounded is False when ||alpha|| runs past ||Q'|| / PROP2_GAP_TOL or the
+    Newton matrix is singular: then some combination of the dQ_k is PSD, so
+    lam_min does not fall along a whole ray of alphas.
+    """
+    Qp = np.asarray(Q_prime, dtype=float)
+    n, k = Qp.shape[0], len(kernel_basis)
+    A = np.stack([np.asarray(d, dtype=float) for d in kernel_basis] + [-np.eye(n)])
+    scale = float(np.linalg.norm(Qp)) or 1.0
+    y = np.zeros(k + 1)
+    y[-1] = np.linalg.eigvalsh(Qp)[0] - scale
+    mu, Phi = scale, None
+    for step in range(1, 501):
+        Si = np.linalg.inv(Qp + np.tensordot(y, A, 1))
+        SA = Si @ A
+        g = np.trace(SA, axis1=1, axis2=2)
+        g[-1] += 1.0 / mu
+        try:
+            L = np.linalg.cholesky(np.einsum("iab,jba->ij", SA, SA))
+        except np.linalg.LinAlgError:
+            return _PathEnd(False, y[:-1], y[-1], None, np.inf, step)
+        dy = np.linalg.solve(L.T, np.linalg.solve(L, g))
+        dec = float(np.sqrt(max(g @ dy, 0.0)))
+        if dec < 1.0:
+            dS = np.tensordot(dy, A, 1)
+            gap = mu * (n - float(np.sum(Si * dS)))
+            if Phi is None and gap <= PROP2_PRECISION * scale:
+                Phi = mu * (Si - Si @ dS @ Si)
+            if gap <= PROP2_GAP_TOL * scale:
+                return _PathEnd(True, y[:-1], y[-1], Phi, gap, step)
+            if dec < 0.5:
+                mu *= 0.1
+        y = y + dy / (1.0 + dec)
+        if np.linalg.norm(y[:-1]) > scale / PROP2_GAP_TOL:
+            return _PathEnd(False, y[:-1], y[-1], None, np.inf, step)
+    raise SolverNotConverged("barrier path did not close the duality gap in 500 Newton steps")
+
+
 def prop2_certificate(Q_prime, kernel_basis):
     """Dual-SDP non-degeneracy certificate for a rank-deficient data matrix.
 
-    Solves min tr(Q' Phi) over Phi >= 0 with tr(dQ_k Phi) = 0 by projected
-    gradient: the linear term's gradient is projected onto the equality
-    constraints' null space, feasibility is kept by a quadratic penalty
-    (continuation over five increasing weights splits the iteration budget),
-    and the PSD cone is enforced by eigenvalue clamping. Step 1/L with L from
-    power iteration on the penalty quadratic. The final iterate is accepted
-    only if it is an optimal dual point (feasible, objective ~ 0 at its own
-    scale); otherwise SolverNotConverged. Then the near-null eigenvectors
-    G2 of Phi* define N_Phi = {G2 W G2'}; the certificate holds when
+    Solves max lam_min(Q' + sum alpha_k dQ_k) and its trace-normalized dual
+    on one barrier path (_max_min_eig). The certificate collapses to rank 0,
+    which certifies nothing, when the maximum is unbounded or lam* exceeds
+    psd_tol_for(Q'): an open set of PSD costs then fits the data. lam* below
+    -PROP2_PRECISION ||Q'|| / 10 means no PSD cost fits at the data's
+    precision: SolverNotConverged. Otherwise rank_Phi counts the eigenvalues
+    of the optimal slack S* = Q(alpha*) - lam* I at most PROP2_PRECISION
+    ||Q'||; Phi_star is the path's dual point at that gap, scaled to trace n.
+    The eigenvectors G2 of the remaining eigenvalues of S* span the null
+    space of Phi* and define N_Phi = {G2 W G2'}; the certificate holds when
     N_Phi intersects span{dQ_k} only at 0.
     """
     if not kernel_basis:
         raise DimensionMismatch("kernel_basis must be nonempty")
     Qp = np.asarray(Q_prime, dtype=float)
     n = Qp.shape[0]
-    C = np.stack([np.asarray(d, dtype=float).ravel() for d in kernel_basis])  # k x n^2
-    # Q' with span{dQ_k} removed in the trace inner product
-    Cg = (Qp.ravel() - np.linalg.solve(C @ C.T, C @ Qp.ravel()) @ C).reshape(n, n)
-    Cg = 0.5 * (Cg + Cg.T)
-
-    # L of the penalty quadratic T(Phi) = sum tr(dQ_k Phi) dQ_k by power iteration
-    rng = np.random.default_rng(0)
-    V = rng.standard_normal((n, n))
-    V = V + V.T
-    lam_T = 0.0
-    for _ in range(200):
-        W = ((C @ V.ravel()) @ C).reshape(n, n)
-        nv = float(np.linalg.norm(W))
-        if nv < 1e-300:
-            break
-        lam_T, V = nv, W / nv
-    if lam_T <= 0:
-        raise SolverNotConverged("penalty quadratic has no positive curvature")
-
-    scale = max(float(np.linalg.norm(Cg)), 1e-12)
-    stages = scale * np.array([1e2, 1e4, 1e6, 1e8, 1e10])
-    per_stage = PROP2_MAX_ITERS // len(stages)
-    Phi = np.eye(n)
-    total = 0
-    for rho in stages:
-        step = 1.0 / (rho * lam_T)
-        for _ in range(per_stage):
-            g = Cg + rho * ((C @ Phi.ravel()) @ C).reshape(n, n)
-            Y = Phi - step * g
-            w, V2 = np.linalg.eigh(0.5 * (Y + Y.T))
-            Phi_new = (V2 * np.clip(w, 0.0, None)) @ V2.T
-            total += 1
-            moved = float(np.linalg.norm(Phi_new - Phi))
-            Phi = Phi_new
-            # gradient-mapping stationarity: moved/step is the projected
-            # gradient norm. A raw movement test would pass anywhere once the
-            # step shrinks with rho, declaring junk iterates optimal.
-            if moved <= PROP2_STAT_TOL * step * max(1.0, scale):
-                break
-    w, V2 = np.linalg.eigh(Phi)
-    viol = C @ Phi.ravel()
-    wmax = float(w.max(initial=0.0))
-    value = float(np.sum(Qp * Phi))
-    vnorm = float(np.linalg.norm(Phi))
-    if wmax <= PROP2_COLLAPSE_TOL:
-        # Collapsed iterate: the only optimum is Phi = 0, whose null space is
-        # all of S^n, so nothing can be certified. Without an absolute floor a
-        # relative eigenvalue threshold would read the ~PROP2_STAT_TOL roundoff as
-        # rank >= 1 and fabricate a certificate.
-        rank = 0
+    scale = float(np.linalg.norm(Qp)) or 1.0
+    end = _max_min_eig(Qp, kernel_basis)
+    if not end.bounded or end.lam > psd_tol_for(Qp):
+        Phi, value, rank, G2 = np.zeros((n, n)), 0.0, 0, np.eye(n)
+    elif end.lam < -0.1 * PROP2_PRECISION * scale:
+        raise SolverNotConverged(
+            f"max lam_min {end.lam:.3e} of the solution family is below the data precision"
+        )
     else:
-        # A certificate needs an optimal dual point: feasible and at the
-        # optimal value 0, relative to the iterate's own scale. Stationarity
-        # of the penalized surrogate is the wrong acceptance signal here; at
-        # a cone-boundary optimum the projected step leaves a small residual
-        # slope whenever the data carry rounding error.
-        qscale = max(float(np.linalg.norm(Qp)), 1e-12)
-        if float(np.abs(viol).max(initial=0.0)) > 1e-6 * max(1.0, vnorm):
-            raise SolverNotConverged(f"dual iterate infeasible after {total} iterations")
-        if abs(value) > 1e-3 * qscale * vnorm:
-            raise SolverNotConverged(f"dual iterate suboptimal after {total} iterations")
-        rank = int((w > wmax * PROP2_RANK_EIG_TOL).sum())
-    G2 = V2[:, : n - rank]
+        Phi, value = n * end.Phi, end.lam + end.gap
+        S = Qp + np.tensordot(end.alpha, kernel_basis, 1) - end.lam * np.eye(n)
+        w, V = np.linalg.eigh(S)
+        rank = int((w <= PROP2_PRECISION * scale).sum())
+        G2 = V[:, rank:]
     if rank == n:
         # no null space, N_Phi = {0}: trivially certified
         trivial = True
@@ -232,13 +246,15 @@ def prop2_certificate(Q_prime, kernel_basis):
         sv = np.linalg.svd(cols, compute_uv=False)
         # full column rank means beta = W = 0 is the only intersection
         trivial = bool(sv[-1] > rank_tol(sv, cols.shape)) and cols.shape[1] <= cols.shape[0]
+    viol = np.array([np.sum(d * Phi) for d in kernel_basis])
     return Prop2Record(
         Phi_star=Phi,
         rank_Phi=rank,
         intersection_trivial=trivial,
         dual_value=value,
-        max_violation=float(np.abs(viol).max(initial=0.0)),
-        n_iter=total,
+        max_violation=float(np.abs(viol).max()),
+        n_iter=end.n_steps,
+        gap=end.gap,
     )
 
 

@@ -202,6 +202,17 @@ class TestProp2Certificate:
         assert rec.rank_Phi == 0
         assert not rec.intersection_trivial
 
+    def test_unbounded_family_writes_no_gap(self):
+        # a PSD kernel direction leaves the path without a finite duality gap;
+        # the report JSON writes null there rather than a non-standard Infinity
+        rec = io.prop2_certificate(np.eye(2), [np.eye(2) / np.sqrt(2.0)])
+        assert rec.gap == np.inf
+        report = io.IdentifiabilityReport(
+            rank_AD=2, full_column_rank=False, kernel_basis=[np.eye(2) / np.sqrt(2.0)],
+            thm3_holds=None, prop2=rec, verdict="not_determined",
+        )
+        assert report.to_json()["prop2"]["gap"] is None
+
     def test_dual_value_matches_grid_search(self):
         # boundary objective diag(1, 0) with an off-diagonal constraint: the
         # feasible cone is the nonnegative diagonals, so min tr(Q' Phi) = 0
@@ -240,6 +251,36 @@ class TestProp2Certificate:
                 hit += 1
                 assert report.verdict == "not_determined"
         assert hit >= 5  # single short episodes are rank-deficient in practice
+
+    def test_never_certifies_rank_two_costs(self, random_system, example_instance):
+        """A rank-2 cost at n=3 seen in one episode leaves a one-dimensional
+        kernel whose family holds strictly PD costs that reproduce the same
+        trajectories, so none of these instances may be certified."""
+        rng = np.random.default_rng(39)
+        hit = 0
+        while hit < 10:
+            sys = random_system(rng, n=3, m=1)
+            G = rng.standard_normal((3, 2))
+            Q = G @ G.T
+            Q *= 0.8 / np.linalg.norm(Q)
+            N = int(rng.integers(3, 8))
+            seed = int(rng.integers(1 << 30))
+            if N < 4:
+                continue
+            report = io.assess(sys, io.generate_bundle(sys, Q, N=N, M=1, seed=seed))
+            if report.kernel_dim == 1:
+                hit += 1
+                assert report.verdict != "unique_by_dual"
+        # a certificate that stands must lead to a recovery that finds one point
+        report = io.assess(example_instance["sys"], example_instance["bundle"])
+        assert report.verdict == "unique_by_dual"
+        io.recover_with_kernel(example_instance["sys"], example_instance["bundle"], report)
+
+    def test_worked_instance_takes_few_newton_steps(self, example_instance):
+        rep = io.assess(example_instance["sys"], example_instance["bundle"])
+        rec = io.prop2_certificate(rep.q_prime, rep.kernel_basis)
+        assert 0 < rec.n_iter <= 100
+        assert 0 < rec.gap <= 1e-10 * np.linalg.norm(rep.q_prime)
 
 
 class TestAssess:
@@ -317,5 +358,6 @@ class TestAssess:
             "dual_value",
             "n_iter",
             "max_violation",
+            "gap",
         }
         assert doc["rank_AD"] == 5 and doc["kernel_dim"] == 1
