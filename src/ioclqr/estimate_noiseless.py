@@ -93,8 +93,8 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
 
     Maximizes lam_min(Q' + sum alpha_k dQ_k) on the certificate's barrier
     path, re-solved from the report's q_prime. An AmbiguousSolution error
-    means the maximum is unbounded or the feasible alpha set is wider along
-    some kernel direction than the certificate allows.
+    means the maximum is unbounded or flat, or the feasible alpha set is
+    wider along some direction than the certificate allows.
     """
     if report.kernel_dim == 0:
         return recover_exact(sys, bundle, report=report, phi=phi)
@@ -104,7 +104,7 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     kernel = np.asarray(report.kernel_basis)
     end = _max_min_eig(q_prime, kernel)
     if not end.bounded:
-        raise AmbiguousSolution("lam_min keeps its maximum along an unbounded ray of alphas")
+        raise AmbiguousSolution("lam_min keeps its maximum along a ray or a segment of alphas")
 
     def f(alpha):
         return float(np.linalg.eigvalsh(q_prime + np.tensordot(alpha, kernel, 1))[0])
@@ -114,11 +114,14 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     # below exact PSD-ness (empty at this level); the maximizer is still
     # unique then, and the cost tolerance is relaxed at construction below.
     amb_tol = 1e-8 * max(1.0, float(np.linalg.norm(q_prime)))
-    for k, e in enumerate(np.eye(len(kernel))):
+    # widths are measured along the eigenvectors of the path's last Newton
+    # matrix: a feasible segment through alpha* lies along its flattest
+    # direction, oblique to the kernel coordinates or not
+    for k, e in enumerate(np.linalg.eigh(end.curvature)[1].T):
         width = _interval_width_at(lambda s: f(end.alpha + s * e), 0.0, -amb_tol)
         if width > 1e-6:
             raise AmbiguousSolution(
-                f"feasible alphas spread over {width:.3e} (> 1e-6) along kernel direction {k}"
+                f"feasible alphas spread over {width:.3e} (> 1e-6) along Newton direction {k}"
             )
     Qm = q_prime + np.tensordot(end.alpha, kernel, 1)
     Qm = 0.5 * (Qm + Qm.T)

@@ -18,18 +18,20 @@ from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
 VERDICTS = ("unique_by_rank", "unique_by_thm3", "unique_by_dual", "not_determined")
 
 # Precisions of the dual certificate, relative to ||Q'||: the duality gap the
-# barrier path closes, and the level at which an eigenvalue of the optimal
-# slack counts as zero when rank_Phi is read (the data's own precision: the
-# worked example's 4-decimal cost dips 3e-5 below the PSD cone).
+# barrier path closes, and how far below the PSD cone the best member of the
+# solution family may sit and still fit the data (the worked example's
+# 4-decimal cost dips 5.4e-4 ||Q'|| below it).
 PROP2_GAP_TOL = 1e-10
-PROP2_PRECISION = 1e-2
+PROP2_PRECISION = 1e-3
 
 
 @dataclass
 class Prop2Record:
-    Phi_star: np.ndarray
+    Phi_star: np.ndarray  # trace-n dual point where the path's gap first met the zero level
     rank_Phi: int
     intersection_trivial: bool
+    # lam* + gap at the path's end: tighter than tr(Q' Phi_star) / n, which
+    # is this plus the (larger) gap at the point Phi_star was taken
     dual_value: float
     max_violation: float
     n_iter: int  # Newton steps of the barrier path
@@ -40,9 +42,10 @@ class _PathEnd(NamedTuple):
     bounded: bool
     alpha: np.ndarray
     lam: float
-    Phi: Optional[np.ndarray]  # trace-1 dual point at gap <= PROP2_PRECISION ||Q'||
+    duals: list  # (gap, trace-1 dual point) at each step with Newton decrement below 1
     gap: float
     n_steps: int
+    curvature: np.ndarray  # alpha block of the last Newton matrix
 
 
 @dataclass
@@ -165,10 +168,15 @@ def _max_min_eig(Q_prime, kernel_basis):
     trace-normalized problem min tr(Q' Phi) s.t. Phi >= 0, tr Phi = 1,
     tr(dQ_k Phi) = 0: its equalities hold exactly, Phi >= 0 because the
     decrement bounds ||S^-1/2 dS S^-1/2||, and its gap is tr(S Phi).
-    Phi is kept from the first step whose gap is under PROP2_PRECISION ||Q'||.
-    bounded is False when ||alpha|| runs past ||Q'|| / PROP2_GAP_TOL or the
-    Newton matrix is singular: then some combination of the dQ_k is PSD, so
-    lam_min does not fall along a whole ray of alphas.
+    Every such (gap, Phi) is kept, so callers can read Phi at the precision
+    they need. bounded is False when ||alpha|| runs past ||Q'|| /
+    PROP2_GAP_TOL or the Newton matrix is singular: then some combination of
+    the dQ_k is PSD, so lam_min does not fall along a whole ray of alphas,
+    or lam_min is flat along a segment: its curvature there ends ~(gap /
+    ||Q'||)^2 times that of the other directions, below what Cholesky resolves.
+    The alpha block of the last Newton matrix is the barrier's curvature at
+    the end: its small eigenvalues belong to the kernel directions along
+    which lam_min falls slowest.
     """
     Qp = np.asarray(Q_prime, dtype=float)
     n, k = Qp.shape[0], len(kernel_basis)
@@ -176,30 +184,30 @@ def _max_min_eig(Q_prime, kernel_basis):
     scale = float(np.linalg.norm(Qp)) or 1.0
     y = np.zeros(k + 1)
     y[-1] = np.linalg.eigvalsh(Qp)[0] - scale
-    mu, Phi = scale, None
+    mu, duals = scale, []
     for step in range(1, 501):
         Si = np.linalg.inv(Qp + np.tensordot(y, A, 1))
         SA = Si @ A
         g = np.trace(SA, axis1=1, axis2=2)
         g[-1] += 1.0 / mu
+        H = np.einsum("iab,jba->ij", SA, SA)
         try:
-            L = np.linalg.cholesky(np.einsum("iab,jba->ij", SA, SA))
+            L = np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
-            return _PathEnd(False, y[:-1], y[-1], None, np.inf, step)
+            return _PathEnd(False, y[:-1], y[-1], duals, np.inf, step, H[:-1, :-1])
         dy = np.linalg.solve(L.T, np.linalg.solve(L, g))
         dec = float(np.sqrt(max(g @ dy, 0.0)))
         if dec < 1.0:
             dS = np.tensordot(dy, A, 1)
             gap = mu * (n - float(np.sum(Si * dS)))
-            if Phi is None and gap <= PROP2_PRECISION * scale:
-                Phi = mu * (Si - Si @ dS @ Si)
+            duals.append((gap, mu * (Si - Si @ dS @ Si)))
             if gap <= PROP2_GAP_TOL * scale:
-                return _PathEnd(True, y[:-1], y[-1], Phi, gap, step)
+                return _PathEnd(True, y[:-1], y[-1], duals, gap, step, H[:-1, :-1])
             if dec < 0.5:
                 mu *= 0.1
         y = y + dy / (1.0 + dec)
         if np.linalg.norm(y[:-1]) > scale / PROP2_GAP_TOL:
-            return _PathEnd(False, y[:-1], y[-1], None, np.inf, step)
+            return _PathEnd(False, y[:-1], y[-1], duals, np.inf, step, H[:-1, :-1])
     raise SolverNotConverged("barrier path did not close the duality gap in 500 Newton steps")
 
 
@@ -210,13 +218,17 @@ def prop2_certificate(Q_prime, kernel_basis):
     on one barrier path (_max_min_eig). The certificate collapses to rank 0,
     which certifies nothing, when the maximum is unbounded or lam* exceeds
     psd_tol_for(Q'): an open set of PSD costs then fits the data. lam* below
-    -PROP2_PRECISION ||Q'|| / 10 means no PSD cost fits at the data's
-    precision: SolverNotConverged. Otherwise rank_Phi counts the eigenvalues
-    of the optimal slack S* = Q(alpha*) - lam* I at most PROP2_PRECISION
-    ||Q'||; Phi_star is the path's dual point at that gap, scaled to trace n.
-    The eigenvectors G2 of the remaining eigenvalues of S* span the null
-    space of Phi* and define N_Phi = {G2 W G2'}; the certificate holds when
-    N_Phi intersects span{dQ_k} only at 0.
+    -PROP2_PRECISION ||Q'|| means no PSD cost fits at the data's precision:
+    SolverNotConverged. Otherwise rank_Phi counts the eigenvalues of the
+    optimal slack S* = Q(alpha*) - lam* I at or below the zero level
+    10 max(|lam*|, sqrt(PROP2_GAP_TOL) ||Q'||), the precision the path
+    measured: |lam*| is how far the data's rounding moves the family off the
+    PSD cone, and a zero eigenvalue without strict complementarity ends the
+    path near sqrt(gap ||Q'||). With exact data only true zeros count.
+    Phi_star is the path's dual point at the first gap under that level,
+    scaled to trace n. The eigenvectors G2 of the remaining eigenvalues of
+    S* span the null space of Phi* and define N_Phi = {G2 W G2'}; the
+    certificate holds when N_Phi intersects span{dQ_k} only at 0.
     """
     if not kernel_basis:
         raise DimensionMismatch("kernel_basis must be nonempty")
@@ -226,15 +238,17 @@ def prop2_certificate(Q_prime, kernel_basis):
     end = _max_min_eig(Qp, kernel_basis)
     if not end.bounded or end.lam > psd_tol_for(Qp):
         Phi, value, rank, G2 = np.zeros((n, n)), 0.0, 0, np.eye(n)
-    elif end.lam < -0.1 * PROP2_PRECISION * scale:
+    elif end.lam < -PROP2_PRECISION * scale:
         raise SolverNotConverged(
             f"max lam_min {end.lam:.3e} of the solution family is below the data precision"
         )
     else:
-        Phi, value = n * end.Phi, end.lam + end.gap
+        zero = 10.0 * max(abs(end.lam), np.sqrt(PROP2_GAP_TOL) * scale)
+        Phi = n * next(P for gap, P in end.duals if gap <= zero)
+        value = end.lam + end.gap
         S = Qp + np.tensordot(end.alpha, kernel_basis, 1) - end.lam * np.eye(n)
         w, V = np.linalg.eigh(S)
-        rank = int((w <= PROP2_PRECISION * scale).sum())
+        rank = int((w <= zero).sum())
         G2 = V[:, rank:]
     if rank == n:
         # no null space, N_Phi = {0}: trivially certified

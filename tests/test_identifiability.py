@@ -276,6 +276,19 @@ class TestProp2Certificate:
         assert report.verdict == "unique_by_dual"
         io.recover_with_kernel(example_instance["sys"], example_instance["bundle"], report)
 
+    def test_small_positive_eigenvalue_is_not_a_zero(self):
+        # lam* = 0 at alpha = 0 by symmetry, and the slack there is
+        # diag(1, 1e-3, 0). Every Q' + alpha d with alpha^2 <= 2e-3 is PSD,
+        # so the cost is not unique: the dual optimum is e3 e3' (rank 1), and
+        # the eigenvalue 1e-3 must not be read as a zero of the slack
+        Qp = np.diag([1.0, 1e-3, 0.0])
+        d = np.zeros((3, 3))
+        d[0, 1] = d[1, 0] = 1.0 / np.sqrt(2.0)
+        assert np.linalg.eigvalsh(Qp + 0.04 * d)[0] >= 0.0
+        rec = io.prop2_certificate(Qp, [d])
+        assert rec.rank_Phi == 1
+        assert not rec.intersection_trivial
+
     def test_worked_instance_takes_few_newton_steps(self, example_instance):
         rep = io.assess(example_instance["sys"], example_instance["bundle"])
         rec = io.prop2_certificate(rep.q_prime, rep.kernel_basis)

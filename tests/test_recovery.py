@@ -184,6 +184,29 @@ class TestKernelRecovery:
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_oblique_segment_is_flagged(self, rich_instance, rotate):
+        # lam_min(Q' + p F + q G) = min(-q, q - p^2 + ...): it falls linearly
+        # in q but only quadratically in p, so at the width check's level a
+        # segment of width ~2e-4 along F is feasible. The check must find it
+        # also when the kernel basis is rotated 45 degrees, where every
+        # coordinate axis leaves the segment at once
+        F = np.zeros((3, 3))
+        F[0, 1] = F[1, 0] = 1.0
+        G = np.diag([0.0, 1.0, -1.0])
+        basis = [(F + G) / 2.0, (F - G) / 2.0] if rotate else [F, G]
+        forged = io.IdentifiabilityReport(
+            rank_AD=4,
+            full_column_rank=False,
+            kernel_basis=basis,
+            thm3_holds=None,
+            prop2=None,
+            verdict="unique_by_dual",
+            q_prime=np.diag([1.0, 0.0, 0.0]),
+        )
+        with pytest.raises(io.AmbiguousSolution):
+            io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
+
 
 class TestNoRebuild:
     """assess builds and factors the data matrix; recovery reuses its report."""
