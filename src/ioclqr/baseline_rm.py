@@ -5,16 +5,16 @@ the noisy observations, jointly over Q and the per-episode adjoint sequences
 (lambda_N = 0). The adjoints enter quadratically, so they are eliminated in
 closed form through the block-tridiagonal normal equations, factored once in
 band storage (O(N) time and memory in the horizon); what remains is a convex
-quadratic in vech(Q), the data term of the fitting core the risk estimator
-uses (same penalties, L-BFGS-B loop and final projection).
+quadratic in vech(Q). It is the data term of the risk estimator's fitting
+core (`estimate_noisy._barrier_fit`), with its exact gradient and Hessian.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, unvech
+from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, vech
 from .errors import DimensionMismatch
-from .estimate_noisy import EstimateResult, _check_horizon, _fit, _fit_config, _penalized
+from .estimate_noisy import EstimateResult, _barrier_fit, _check_horizon, _fit_config, _sym_basis
 
 
 def _reduced_quadratic(sys, bundle):
@@ -55,10 +55,8 @@ def estimate_rm(
     sys,
     bundle,
     phi=DEFAULT_PHI,
-    epsilon=1e-3,
-    penalty_weight=1e4,
     max_iters=2000,
-    grad_tol=1e-7,
+    grad_tol=1e-9,
 ):
     """Residual-minimization estimate of Q.
 
@@ -68,7 +66,7 @@ def estimate_rm(
     baseline. Zero-information data (all observations zero) makes every Q
     optimal; then Q = I is returned with degenerate=True.
     """
-    config = _fit_config(phi, epsilon, penalty_weight, max_iters, grad_tol)
+    config = _fit_config(phi, max_iters, grad_tol)
     if bundle.n != sys.n or bundle.m != sys.m:
         raise DimensionMismatch("bundle dimensions do not match the system")
     _check_horizon(bundle)
@@ -81,13 +79,12 @@ def estimate_rm(
             CostMatrix(np.eye(n), phi=phi), method=method, degenerate=True, config=config
         )
 
-    def residual(q, Qm):
-        # W, v act on vech(Q) directly; the gradient goes back to matrix
-        # form with halved off-diagonal entries, which Dmap' maps exactly
-        # onto g (halving is exact)
-        g = (W + W.T) @ q + 2.0 * v
-        G = 0.5 * unvech(g, n)
-        G[np.diag_indices(n)] *= 2.0
-        return float(q @ W @ q + 2.0 * v @ q + c0), G
+    # in the fitting core's coordinates y, vech(Q) = P y
+    P = np.array([vech(E) for E in _sym_basis(n)]).T
+    W, v = P.T @ (0.5 * (W + W.T)) @ P, P.T @ v
 
-    return _fit(_penalized(residual, n, config), n, config, 1e-15, method)
+    def residual(y):
+        Wy = W @ y
+        return float(y @ Wy + 2.0 * v @ y + c0), 2.0 * (Wy + v), 2.0 * W
+
+    return _barrier_fit(residual, n, config, method)

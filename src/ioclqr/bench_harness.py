@@ -216,19 +216,14 @@ def _fmt(x):
 
 
 def summarize(records, M_grid):
-    """Median and quartiles of the finite errors per (M, method), and how
-    many of those fits converged (a failed fit never has)."""
+    """Median and quartiles of the finite errors per (M, method), how many
+    of those fits converged, and how many failed with an exception (a failed
+    fit never converged)."""
     rows = []
     for M in M_grid:
         for method in METHODS:
-            errs = []
-            n_converged = 0
-            for rec in records:
-                cell = rec.results.get((M, method))
-                if cell and np.isfinite(cell["rel_error"]):
-                    errs.append(cell["rel_error"])
-                if cell and cell["converged"]:
-                    n_converged += 1
+            cells = [c for c in (rec.results.get((M, method)) for rec in records) if c]
+            errs = [c["rel_error"] for c in cells if np.isfinite(c["rel_error"])]
             if errs:
                 q25, med, q75 = np.percentile(errs, [25.0, 50.0, 75.0])
             else:
@@ -241,7 +236,8 @@ def summarize(records, M_grid):
                     "q25": float(q25),
                     "q75": float(q75),
                     "n_ok": len(errs),
-                    "n_converged": n_converged,
+                    "n_converged": sum(bool(c["converged"]) for c in cells),
+                    "n_failed": sum(bool(c["failed"]) for c in cells),
                 }
             )
     return rows
@@ -276,11 +272,11 @@ def trials_csv(records, M_grid):
 def summary_csv(summary_rows):
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["M", "method", "median", "q25", "q75", "n_ok", "n_converged"])
+    w.writerow(["M", "method", "median", "q25", "q75", "n_ok", "n_converged", "n_failed"])
     for row in summary_rows:
         w.writerow(
             [row["M"], row["method"], _fmt(row["median"]), _fmt(row["q25"]), _fmt(row["q75"]),
-             row["n_ok"], row["n_converged"]]
+             row["n_ok"], row["n_converged"], row["n_failed"]]
         )
     return buf.getvalue()
 

@@ -30,9 +30,7 @@ from .estimate_noisy import EstimateResult, RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle, simulate, solve_riccati
 from .identifiability import assess
 
-DEFAULT_EPSILON = 1e-3
 DEFAULT_HORIZON = 50
-DEFAULT_DT = 0.1
 
 
 def _x0_type(text):
@@ -125,19 +123,19 @@ def cmd_estimate(args):
         result = EstimateResult(
             recover_exact(sys_, bundle, phi=args.phi),
             method="exact",
-            config={"mode": "exact", "phi": args.phi, "epsilon": args.epsilon},
+            config={"mode": "exact", "phi": args.phi},
         )
     elif args.mode == "residual-min":
-        result = estimate_rm(sys_, bundle, phi=args.phi, epsilon=args.epsilon)
+        result = estimate_rm(sys_, bundle, phi=args.phi)
     else:
         mode = "state_obs" if args.mode == "risk-x" else "input_obs"
-        prob = RiskProblem(sys_, bundle, mode=mode, phi=args.phi, epsilon=args.epsilon)
+        prob = RiskProblem(sys_, bundle, mode=mode, phi=args.phi)
         result = estimate(prob)
     result.config.update({"N": bundle.N, "M": bundle.M})
     if not result.converged:
         raise SolverNotConverged(
-            f"{result.method} stopped without meeting tolerances "
-            f"(final grad norm {result.grad_norm_final:.2e})"
+            f"{result.method} stopped without meeting tolerances: {result.status} "
+            f"after {result.n_iter} steps (final grad norm {result.grad_norm_final:.2e})"
         )
     _write_json(result.to_json(), args.out)
     print(f"wrote {args.out} (method={result.method}, converged={result.converged})")
@@ -196,7 +194,6 @@ def build_parser():
         help="estimator to run",
     )
     e.add_argument("--phi", type=float, default=DEFAULT_PHI, help="Frobenius ball radius squared")
-    e.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="eigenvalue smoothing width")
     e.add_argument("--out", required=True, help="estimate JSON to write")
     e.set_defaults(func=cmd_estimate)
 

@@ -116,12 +116,19 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     amb_tol = 1e-8 * max(1.0, float(np.linalg.norm(q_prime)))
     # widths are measured along the eigenvectors of the path's last Newton
     # matrix: a feasible segment through alpha* lies along its flattest
-    # direction, oblique to the kernel coordinates or not
+    # direction, oblique to the kernel coordinates or not. A 100-fold tighter
+    # level shrinks the width 100-fold where lam_min falls off linearly (a
+    # sharp maximum), 10-fold where it falls off quadratically, not at all
+    # along a flat segment; only the sharp maximum passes
     for k, e in enumerate(np.linalg.eigh(end.curvature)[1].T):
-        width = _interval_width_at(lambda s: f(end.alpha + s * e), 0.0, -amb_tol)
-        if width > 1e-6:
+        wide, tight = (
+            _interval_width_at(lambda s: f(end.alpha + s * e), 0.0, -level)
+            for level in (amb_tol, 0.01 * amb_tol)
+        )
+        if wide > 1e-6 and tight > wide / 30.0:
             raise AmbiguousSolution(
-                f"feasible alphas spread over {width:.3e} (> 1e-6) along Newton direction {k}"
+                f"feasible alphas spread over {wide:.3e} (> 1e-6) along Newton direction {k}, "
+                f"{tight:.3e} at a 100-fold tighter level"
             )
     Qm = q_prime + np.tensordot(end.alpha, kernel, 1)
     Qm = 0.5 * (Qm + Qm.T)

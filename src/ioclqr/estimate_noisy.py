@@ -4,30 +4,22 @@ The predicted trajectory for a candidate Q is the solution of the stacked
 boundary-value system F(Q) Z = A_tilde x_bar; the empirical risk is the mean
 squared discrepancy between predictions and observations, in either states
 (state_obs) or inputs (input_obs). Each evaluation factors F(Q) once in band
-storage (`forward_lqr.BandedPmp`), solves it for all episodes at once and
-its transpose for the adjoint gradient, in O(N n^3) time and memory linear
-in N; the dense `build_pmp_system` stays as the tests' oracle. Minimization
-runs in vech coordinates with an adjoint-mode gradient, a smoothed
-max-eigenvalue penalty keeping Q near the PSD cone, and a Frobenius-ball
-penalty. The penalties, the L-BFGS-B loop, the final projection and the
-result assembly are the fitting core that the residual-minimization
-baseline shares; only the data term differs.
+storage (`forward_lqr.BandedPmp`) and solves it for all episodes at once,
+then once more for the trajectories' sensitivities to Q (the risk's gradient
+and Gauss-Newton matrix): O(N n^3) time, memory linear in N. The dense
+`build_pmp_system` stays as the tests' oracle. The fitting core, shared with
+the residual-minimization baseline (only the data term f differs), follows
+a log-barrier path for f(Q) - tau (log det Q + log(phi - ||Q||_F^2)), so
+every iterate is strictly inside {Q >= 0, ||Q||_F^2 <= phi} and nothing is
+projected afterwards.
 """
 
-import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core_model import (
-    CostMatrix,
-    DEFAULT_PHI,
-    as_q,
-    duplication_map,
-    unvech,
-    vech,
-)
+from .core_model import CostMatrix, DEFAULT_PHI, as_q, unvech
 from .errors import DimensionMismatch
 from .forward_lqr import BandedPmp
 
@@ -40,25 +32,20 @@ class RiskProblem:
     bundle: object
     mode: str = "state_obs"
     phi: float = DEFAULT_PHI
-    epsilon: float = 1e-3
-    penalty_weight: float = 1e4
     max_iters: int = 2000
-    grad_tol: float = 1e-7
+    grad_tol: float = 1e-9
     record_trace: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise DimensionMismatch(f"mode must be one of {MODES}")
-        self.config()  # checks phi and epsilon
+        self.config()  # checks phi
         if self.bundle.n != self.sys.n or self.bundle.m != self.sys.m:
             raise DimensionMismatch("bundle dimensions do not match the system")
 
     def config(self):
         """The settings a fit reads and records in its result."""
-        settings = _fit_config(
-            self.phi, self.epsilon, self.penalty_weight, self.max_iters, self.grad_tol
-        )
-        return {"mode": self.mode, **settings}
+        return {"mode": self.mode, **_fit_config(self.phi, self.max_iters, self.grad_tol)}
 
     def observations(self):
         """Observation matrix, one column per episode: x_2..x_N (state_obs)
@@ -69,43 +56,57 @@ class RiskProblem:
 
 @dataclass
 class EstimateResult:
-    """One estimate, whichever estimator made it. Construction completes
-    constraint_activity: ball_margin = phi - ||Q||_F^2 and, unless a fit
-    passes the margin of its iterate before projection, psd_margin is the
-    smallest eigenvalue of Q_hat."""
+    """One estimate, whichever estimator made it. Construction fills
+    constraint_activity: psd_margin, the smallest eigenvalue of Q_hat, and
+    ball_margin = phi - ||Q_hat||_F^2. status says how a fit stopped:
+    "gap_met" (the barrier path closed to grad_tol), "step_budget" (max_iters
+    Newton steps taken) or "line_search_failed"; "direct" marks an estimate
+    computed without iterating. n_eval counts data-term evaluations."""
 
     Q_hat: CostMatrix
     objective_trace: list = field(default_factory=list)
     grad_norm_final: float = 0.0
-    constraint_activity: dict = None
     converged: bool = True
     n_iter: int = 0
     method: str = "risk_x"
     degenerate: bool = False
     config: dict = field(default_factory=dict)
+    status: str = "direct"
+    n_eval: int = 0
+    constraint_activity: dict = field(init=False)
 
     def __post_init__(self):
         Q = self.Q_hat.Q
-        activity = dict(self.constraint_activity or {})
-        if "psd_margin" not in activity:
-            activity["psd_margin"] = float(np.linalg.eigvalsh(Q)[0])
-        activity["ball_margin"] = float(self.Q_hat.phi - np.sum(Q * Q))
-        self.constraint_activity = activity
+        self.constraint_activity = {
+            "psd_margin": float(np.linalg.eigvalsh(Q)[0]),
+            "ball_margin": float(self.Q_hat.phi - np.sum(Q * Q)),
+        }
 
     def to_json(self):
         return {
             "Q": self.Q_hat.Q.tolist(),
             "objective_trace": [[int(i), float(v)] for i, v in self.objective_trace],
             "converged": self.converged,
-            "constraint_activity": {
-                k: float(v) for k, v in self.constraint_activity.items()
-            },
+            "status": self.status,
+            "constraint_activity": self.constraint_activity,
             "grad_norm_final": float(self.grad_norm_final),
             "n_iter": int(self.n_iter),
+            "n_eval": int(self.n_eval),
             "method": self.method,
             "degenerate": self.degenerate,
             "config": self.config,
         }
+
+
+@lru_cache(maxsize=None)
+def _sym_basis(n):
+    """Frobenius-orthonormal basis of the symmetric n x n matrices, in vech
+    order: e_i e_i' and (e_i e_j' + e_j e_i') / sqrt(2). In its coordinates
+    y, Q = sum_k y_k E_k and ||Q||_F = |y|."""
+    E = np.array([unvech(e, n) for e in np.eye(n * (n + 1) // 2)])
+    E /= np.linalg.norm(E, axis=(1, 2))[:, None, None]
+    E.setflags(write=False)
+    return E
 
 
 def _stacked(problem):
@@ -116,10 +117,10 @@ def _stacked(problem):
     return b.initial_states(), Y.transpose(2, 1, 0).copy()
 
 
-def _risk_pieces(problem, Qm, want_grad, data):
+def _risk_pieces(problem, Qm, want_gn, data):
     """Shared evaluation: risk value, per-episode terms and (optionally) the
-    adjoint-mode matrix gradient, all from one band factorization of F(Q).
-    `data` is `_stacked(problem)`."""
+    gradient and Gauss-Newton matrix in `_sym_basis` coordinates, all from
+    one band factorization of F(Q). `data` is `_stacked(problem)`."""
     X0, Y = data
     B = problem.sys.B
     state_obs = problem.mode == "state_obs"
@@ -128,29 +129,28 @@ def _risk_pieces(problem, Qm, want_grad, data):
     R = (x if state_obs else -(B.T @ lam)) - Y  # u_t = -B' lambda_{t+1}
     per_episode = np.sum(R * R, axis=(0, 1))
     value = float(per_episode.mean())
-    if not want_grad:
-        return value, per_episode, None
-    if state_obs:
-        gx, glam = 2.0 * R, np.zeros_like(lam)
-    else:
-        gx, glam = np.zeros_like(x), -2.0 * (B @ R)
-    grad = pmp.q_gradient(gx, glam, x) / X0.shape[1]
-    grad = 0.5 * (grad + grad.T)
-    return value, per_episode, grad
+    if not want_gn:
+        return value, per_episode, None, None
+    dx, dlam = pmp.q_sensitivities(x, _sym_basis(len(Qm)))
+    J = dx if state_obs else -np.einsum("ia,krim->kram", B, dlam)
+    J = J.reshape(len(J), -1)  # residual Jacobian, one row per coordinate
+    scale = 2.0 / X0.shape[1]
+    return value, per_episode, scale * (J @ R.ravel()), scale * (J @ J.T)
 
 
 def eval_risk(problem, Q):
     """Empirical risk at Q: mean over episodes of the squared observation
     mismatch. Returns (value, per_episode)."""
-    value, per_episode, _ = _risk_pieces(problem, as_q(Q), False, _stacked(problem))
+    value, per_episode, _, _ = _risk_pieces(problem, as_q(Q), False, _stacked(problem))
     return value, list(per_episode)
 
 
 def risk_gradient(problem, Q):
-    """Adjoint-mode gradient of the empirical risk, symmetrized, averaged
-    over episodes."""
-    _, _, grad = _risk_pieces(problem, as_q(Q), True, _stacked(problem))
-    return grad
+    """Gradient of the empirical risk as a symmetric matrix, averaged over
+    episodes."""
+    Qm = as_q(Q)
+    grad = _risk_pieces(problem, Qm, True, _stacked(problem))[2]
+    return np.tensordot(grad, _sym_basis(len(Qm)), 1)
 
 
 def smoothed_max_eig(Q_sym, epsilon):
@@ -158,7 +158,8 @@ def smoothed_max_eig(Q_sym, epsilon):
 
     value = sigma_1 + eps*log(sum exp((sigma_i - sigma_1)/eps)) stays finite
     for any spread of eigenvalues; the gradient is the softmax-weighted sum
-    of eigenprojectors (symmetric PSD, unit trace).
+    of eigenprojectors (symmetric PSD, unit trace). A utility: the fitting
+    core keeps Q PSD with a log-det barrier instead.
     """
     if epsilon <= 0:
         raise DimensionMismatch("epsilon must be positive")
@@ -179,128 +180,114 @@ def _check_horizon(bundle):
         raise DimensionMismatch(f"need a horizon N >= 3 to estimate Q, got N={bundle.N}")
 
 
-def _fit_config(phi, epsilon, penalty_weight, max_iters, grad_tol):
-    """The settings the fitting core reads, checked before any data are
-    touched."""
-    if epsilon <= 0 or phi <= 0:
-        raise DimensionMismatch("epsilon and phi must be positive")
-    return dict(phi=phi, epsilon=epsilon, penalty_weight=penalty_weight,
-                max_iters=max_iters, grad_tol=grad_tol)
-
-
-def _penalized(term, n, config):
-    """Objective/gradient closure over vech(Q) for the quasi-Newton loop:
-    the data term plus squared-hinge penalties on the smoothed largest
-    eigenvalue of -Q and on ||Q||_F^2 - phi.
-
-    term(q, Qm) returns the data term's value and its gradient as a
-    symmetric matrix G whose vech gradient is Dmap' vec(G).
-    """
-    pw, eps, phi = config["penalty_weight"], config["epsilon"], config["phi"]
-    Dmap = duplication_map(n)
-
-    def fun(q):
-        Qm = unvech(q, n)
-        f, g = term(q, Qm)
-        psd_val, psd_grad = smoothed_max_eig(-Qm, eps)
-        if psd_val > 0:
-            f += pw * psd_val**2
-            g = g + pw * 2.0 * psd_val * (-psd_grad)
-        ball = float(np.sum(Qm * Qm)) - phi
-        if ball > 0:
-            f += pw * ball**2
-            g = g + pw * 2.0 * ball * (2.0 * Qm)
-        return f, Dmap.T @ g.flatten(order="F")
-
-    return fun
+def _fit_config(phi, max_iters, grad_tol):
+    """The fitting core's settings, checked before any data are touched."""
+    if phi <= 0:
+        raise DimensionMismatch("phi must be positive")
+    return dict(phi=phi, max_iters=max_iters, grad_tol=grad_tol)
 
 
 def penalized_objective(problem):
-    """The penalized empirical risk of a RiskProblem, over vech(Q)."""
+    """The data term of a RiskProblem for the fitting core: y -> (risk, its
+    gradient, its Gauss-Newton matrix) in `_sym_basis` coordinates. The
+    log-barrier is the core's interior penalty."""
     data = _stacked(problem)
+    basis = _sym_basis(problem.sys.n)
 
-    def risk(q, Qm):
-        value, _, grad = _risk_pieces(problem, Qm, True, data)
-        return value, grad
+    def risk(y):
+        value, _, grad, gn = _risk_pieces(problem, np.tensordot(y, basis, 1), True, data)
+        return value, grad, gn
 
-    return _penalized(risk, problem.sys.n, problem.config())
-
-
-def _finalize_q(Qm, phi):
-    """Project the iterate back to a usable cost: clamp negative eigenvalues
-    and re-enter the Frobenius ball.
-
-    The quadratic penalty leaves a residual violation of order
-    multiplier/penalty_weight, so the clamp must cover more than round-off;
-    the pre-projection margin is reported in constraint_activity.
-    """
-    Qm = 0.5 * (Qm + Qm.T)
-    w, V = np.linalg.eigh(Qm)
-    psd_margin = float(w[0])
-    if w[0] < 0:
-        if w[0] < -1e-3 * max(1.0, float(np.abs(w).max())):
-            warnings.warn(
-                f"projected a clearly indefinite iterate (min eig {w[0]:.3e}) onto the PSD cone"
-            )
-        Qm = (V * np.clip(w, 0.0, None)) @ V.T
-        Qm = 0.5 * (Qm + Qm.T)
-    fro2 = float(np.sum(Qm * Qm))
-    if fro2 > phi:
-        Qm *= np.sqrt(phi / fro2) * (1.0 - 1e-12)
-    return Qm, psd_margin
+    return risk
 
 
-def _fit(objective, n, config, ftol, method, record_trace=True):
-    """The fitting core of both noisy estimators: L-BFGS-B over vech(Q)
-    from Q0 = I on a `_penalized` objective, then `_finalize_q`."""
-    trace = []
+def _barrier(y, basis, phi):
+    """-log det Q(y) - log(phi - |y|^2) with its gradient and Hessian in y,
+    or None unless Q(y) is positive definite and y inside the ball."""
+    slack = phi - float(y @ y)
+    if not slack > 0.0:
+        return None
+    try:
+        C = np.linalg.cholesky(np.tensordot(y, basis, 1))
+    except np.linalg.LinAlgError:
+        return None
+    Ci = np.linalg.inv(C)
+    S = Ci @ basis @ Ci.T  # C^-1 E_k C^-T: tr S_k = tr(Q^-1 E_k)
+    value = -2.0 * float(np.log(np.diag(C)).sum()) - np.log(slack)
+    grad = 2.0 * y / slack - np.trace(S, axis1=1, axis2=2)
+    hess = np.einsum("iab,jab->ij", S, S) + (2.0 / slack) * np.eye(len(y))
+    return value, grad, hess + np.outer(y, y) * (4.0 / slack**2)
 
-    def first_logged(q):
-        # L-BFGS-B evaluates q0 first: that value is trace point 0
-        f, g = objective(q)
-        if not trace:
-            trace.append((0, f))
-        return f, g
 
-    def callback(intermediate_result):
-        trace.append((len(trace), float(intermediate_result.fun)))
-
-    res = minimize(
-        first_logged if record_trace else objective,
-        vech(np.eye(n)),
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback if record_trace else None,
-        options={"maxiter": config["max_iters"], "gtol": config["grad_tol"], "ftol": ftol},
-    )
-    Qm, psd_margin = _finalize_q(unvech(res.x, n), config["phi"])
+def _barrier_fit(term, n, config, method, record_trace=True):
+    """The fitting core of both noisy estimators: damped Gauss-Newton steps
+    on f + tau b over the `_sym_basis` coordinates y of Q, from Q0 = I
+    (shrunk to ||Q0||_F^2 = phi / 2 when n > phi / 2), where term(y) =
+    (f, gradient g, Gauss-Newton matrix H) and b is `_barrier`. Each step
+    backtracks (Armijo) to a strictly feasible point that lowers f + tau b.
+    Once the scaled Newton decrement (g' K^-1 g / tau)^(1/2), K = H +
+    tau b'', is below 1/2, the path stops if (n + 1) tau <= grad_tol
+    max(1, f), n + 1 being the barrier's parameter (for convex f this bounds
+    the suboptimality), and cuts tau tenfold otherwise. max_iters bounds the
+    Newton steps."""
+    basis, phi, nu = _sym_basis(n), config["phi"], n + 1
+    y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
+    (f, g, H), (b, gb, Hb) = term(y), _barrier(y, basis, phi)
+    tau, trace, n_eval, status = max(1.0, f) / nu, [(0, f)], 1, "step_budget"
+    while True:
+        grad = g + tau * gb
+        # next to the boundary tau Hb can make K singular in floating point
+        step = -np.linalg.lstsq(H + tau * Hb, grad, rcond=None)[0]
+        slope = float(grad @ step)
+        if -slope < 0.25 * tau:
+            if nu * tau <= config["grad_tol"] * max(1.0, f):
+                status = "gap_met"
+                break
+            tau *= 0.1
+            continue
+        if len(trace) > config["max_iters"]:
+            break
+        for alpha in 0.5 ** np.arange(50):
+            trial = y + alpha * step
+            bar = _barrier(trial, basis, phi)
+            if bar is not None:
+                point, n_eval = term(trial), n_eval + 1
+                if point[0] + tau * bar[0] <= f + tau * b + 0.25 * alpha * slope:
+                    break
+        else:
+            status = "line_search_failed"
+            break
+        y, (f, g, H), (b, gb, Hb) = trial, point, bar
+        trace.append((len(trace), f))
+    if status == "gap_met":
+        # the barrier holds an interior minimizer O(tau) away from itself;
+        # one undamped Gauss-Newton step on f alone removes that offset when
+        # it stays strictly inside the set and lowers f
+        trial = y - np.linalg.lstsq(H, g, rcond=None)[0]
+        if _barrier(trial, basis, phi) is not None:
+            point, n_eval = term(trial), n_eval + 1
+            if point[0] < f:
+                y, (f, grad, _) = trial, point
+                trace.append((len(trace), f))
     return EstimateResult(
-        CostMatrix(Qm, phi=config["phi"]),
-        objective_trace=trace,
-        grad_norm_final=float(np.linalg.norm(res.jac, np.inf)),
-        constraint_activity={"psd_margin": psd_margin},
-        converged=bool(res.success),
-        n_iter=int(res.nit),
+        CostMatrix(np.tensordot(y, basis, 1), phi=phi),
+        objective_trace=trace if record_trace else [],
+        grad_norm_final=float(np.linalg.norm(grad, np.inf)),
+        converged=status == "gap_met",
+        n_iter=len(trace) - 1,
         method=method,
         config=config,
+        status=status,
+        n_eval=n_eval,
     )
 
 
 def estimate(problem):
-    """Minimize the penalized empirical risk from Q0 = I.
-
-    Limited-memory quasi-Newton (L-BFGS-B) over vech(Q); the PSD and ball
-    constraints enter as squared-hinge penalties and any residual violation
-    is cleaned up by a final eigenvalue clamp / rescale. Never raises on
-    non-convergence; the result carries converged=False instead.
-    """
+    """Minimize the empirical risk over {Q >= 0, ||Q||_F^2 <= phi} from
+    Q0 = I on the fitting core's barrier path. Never raises on
+    non-convergence; the result carries converged=False and its status."""
     _check_horizon(problem.bundle)
     method = "risk_x" if problem.mode == "state_obs" else "risk_u"
-    return _fit(
-        penalized_objective(problem),
-        problem.sys.n,
-        problem.config(),
-        1e-14,
-        method,
-        problem.record_trace,
+    return _barrier_fit(
+        penalized_objective(problem), problem.sys.n, problem.config(), method, problem.record_trace
     )

@@ -76,19 +76,32 @@ def solve_riccati(sys, Q, N):
     return GainSchedule(Ks, Ps, sys)
 
 
+def _rollout(sys, gains, X0):
+    """Closed-loop rollout of every column of X0 (n x M) at once, one
+    (m x n)(n x M) gain product per step: X (M x n x N), U (M x m x (N-1)).
+
+    Products are summed column by column rather than by BLAS, whose rounding
+    depends on the width M: an episode comes out bit for bit the same
+    whatever number of episodes it is rolled out with."""
+    if X0.shape[0] != sys.n:
+        raise DimensionMismatch(f"x_bar has {X0.shape[0]} entries, wanted {sys.n}")
+
+    def times(Mat, Y):
+        return sum(Mat[:, j, None] * Y[j] for j in range(Mat.shape[1]))
+
+    X = np.empty((gains.N, sys.n, X0.shape[1]))
+    U = np.empty((gains.N - 1, sys.m, X0.shape[1]))
+    X[0] = X0
+    for t, K in enumerate(gains.K):
+        U[t] = times(K, X[t])
+        X[t + 1] = times(sys.A, X[t]) + times(sys.B, U[t])
+    return X.transpose(2, 1, 0).copy(), U.transpose(2, 1, 0).copy()
+
+
 def simulate(sys, gains, x_bar):
     """Closed-loop rollout x_1 = x_bar, u_t = K_t x_t."""
-    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
-    if x_bar.size != sys.n:
-        raise DimensionMismatch(f"x_bar has {x_bar.size} entries, wanted {sys.n}")
-    N = gains.N
-    x = np.zeros((sys.n, N))
-    u = np.zeros((sys.m, N - 1))
-    x[:, 0] = x_bar
-    for t in range(N - 1):
-        u[:, t] = gains.K[t] @ x[:, t]
-        x[:, t + 1] = sys.A @ x[:, t] + sys.B @ u[:, t]
-    return Episode(x, u)
+    X, U = _rollout(sys, gains, np.asarray(x_bar, dtype=float).reshape(-1, 1))
+    return Episode(X[0], U[0])
 
 
 def cost_of(sys, Q, episode):
@@ -263,19 +276,21 @@ class BandedPmp:
         Zb = Z.reshape(nb, 2 * n, -1)
         return Zb[:, :n], Zb[:, n:]
 
-    def q_gradient(self, gx, glam, x):
-        """dL/dQ, summed over episodes, of a loss L(x, lambda) whose gradients
-        at the solution are gx and glam (shaped like `solve`'s output).
+    def q_sensitivities(self, x, basis):
+        """Derivatives of `solve`'s states and costates along the symmetric
+        directions E_j of Q (basis: k x n x n), each k x (N-1) x n x M.
 
-        With F(Q)' W = (gx, glam), dL/dQ = -sum_t w_t x_t' over the rows
+        F(Q) dZ_j = -(dF/dQ . E_j) Z, and Q enters F only in the costate rows
         lambda_t = Q x_t + A' lambda_{t+1}, t = 2..N-1; in the band order the
-        row of block row r = t - 1 starts at n + 2n(r-1) + n = 2n r.
+        row of block row r = t - 1 starts at n + 2n(r-1) + n = 2n r. One solve
+        takes all k M right-hand sides.
         """
         n, nb = self.n, self.nb
-        g = np.concatenate([gx, glam], axis=1).reshape(2 * n * nb, -1)
-        W, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, g, self.piv, trans=1)
-        Wq = W.reshape(nb, 2 * n, -1)[1:, :n]
-        return -np.tensordot(Wq, x[:-1], axes=([0, 2], [0, 2]))
+        rhs = np.zeros((nb, 2 * n, len(basis), x.shape[2]))
+        rhs[1:, :n] = -np.einsum("jab,rbm->rajm", basis, x[:-1])
+        dZ, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.reshape(2 * n * nb, -1), self.piv)
+        dZ = dZ.reshape(rhs.shape).transpose(2, 0, 1, 3)
+        return dZ[:, :, :n], dZ[:, :, n:]
 
 
 def inputs_from_states(sys, x):
@@ -301,19 +316,18 @@ def _as_seedseq(seed):
 def generate_bundle(sys, Q, N, M, init_sampler=None, seed=0):
     """M exact episodes from i.i.d. initial states (default U[-5,5]^n).
 
-    Each episode draws from its own child RNG stream, so results do not
-    depend on evaluation order.
+    Each episode draws its initial state from its own child RNG stream, so
+    results do not depend on evaluation order; all M are then rolled out
+    together.
     """
     if M < 1:
         raise DimensionMismatch("M must be at least 1")
     gains = solve_riccati(sys, Q, N)
     if init_sampler is None:
         init_sampler = lambda rng: rng.uniform(-5.0, 5.0, size=sys.n)
-    X = np.empty((M, sys.n, N))
-    U = np.empty((M, sys.m, N - 1))
-    for i, ss in enumerate(_as_seedseq(seed).spawn(M)):
-        ep = simulate(sys, gains, init_sampler(np.random.default_rng(ss)))
-        X[i], U[i] = ep.x, ep.u
+    streams = _as_seedseq(seed).spawn(M)
+    X0 = np.array([init_sampler(np.random.default_rng(ss)) for ss in streams], dtype=float)
+    X, U = _rollout(sys, gains, X0.reshape(M, -1).T)
     return TrajectoryBundle.from_arrays(X, U, "exact", None, None)
 
 

@@ -156,7 +156,9 @@ class TestRunBenchmark:
             assert srow["q25"] == pytest.approx(q25, rel=1e-12)
             assert srow["q75"] == pytest.approx(q75, rel=1e-12)
         sfile = _read_csv(out / "summary.csv")
-        assert sfile[0] == ["M", "method", "median", "q25", "q75", "n_ok", "n_converged"]
+        assert sfile[0] == [
+            "M", "method", "median", "q25", "q75", "n_ok", "n_converged", "n_failed"
+        ]
         assert len(sfile) - 1 == len(summary)
 
     def test_summary_counts_converged(self, smoke_run):
@@ -246,6 +248,8 @@ class TestFailureHandling:
         nan_rows = [r for r in rows if r[3] == "nan"]
         assert len(nan_rows) == 2
         by_method = {s["method"]: s for s in summary}
+        assert [by_method[m]["n_failed"] for m in bh.METHODS] == [1, 1, 0]
+        assert _read_csv(tmp_path / "summary.csv")[1][7] == "1"
         assert by_method["risk_x"]["n_ok"] == 0
         assert np.isnan(by_method["risk_x"]["median"])
         assert by_method["residual_min"]["n_ok"] == 1

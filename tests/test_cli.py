@@ -314,17 +314,18 @@ class TestEstimate:
                        "--mode", "exact", "--out", str(tmp_path / "x.json")])
         assert rc == 1
 
-    def test_solver_failure_exits_3(self, dataset, tmp_path, monkeypatch):
+    def test_solver_failure_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
         _, _, spath, bpath = dataset
         real = cli.estimate
 
         def stalled(prob):
-            return dataclasses.replace(real(prob), converged=False)
+            return dataclasses.replace(real(prob), converged=False, status="step_budget")
 
         monkeypatch.setattr(cli, "estimate", stalled)
         rc = cli.main(["estimate", "--system", spath, "--bundle", bpath,
                        "--mode", "risk-x", "--out", str(tmp_path / "x.json")])
         assert rc == 3
+        assert "step_budget" in capsys.readouterr().err
 
 
 class TestBench:

@@ -174,6 +174,21 @@ class TestGenerateBundle:
             np.testing.assert_array_equal(e1.x, e2.x)
         assert not np.array_equal(b1.episodes[0].x, b3.episodes[0].x)
 
+    def test_episodes_do_not_depend_on_bundle_size(self, random_system, random_psd):
+        # the first M episodes of a larger bundle, and a lone simulate from
+        # the same x_1, match bit for bit: benchmark cells at several M share
+        # one bundle, so their data must not depend on how many are rolled out
+        rng = np.random.default_rng(25)
+        sys = random_system(rng, n=3, m=2)
+        Q = random_psd(rng, 3)
+        small = generate_bundle(sys, Q, N=30, M=3, seed=5)
+        large = generate_bundle(sys, Q, N=30, M=64, seed=5)
+        np.testing.assert_array_equal(small.X, large.X[:3])
+        np.testing.assert_array_equal(small.U, large.U[:3])
+        ep = simulate(sys, solve_riccati(sys, Q, 30), small.X[1, :, 0])
+        np.testing.assert_array_equal(ep.x, small.X[1])
+        np.testing.assert_array_equal(ep.u, small.U[1])
+
     def test_custom_init_sampler(self, random_system, random_psd):
         rng = np.random.default_rng(23)
         sys = random_system(rng, n=2, m=1)

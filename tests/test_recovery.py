@@ -207,6 +207,24 @@ class TestKernelRecovery:
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
 
+    def test_slow_sharp_maximum_is_not_flagged(self, random_system):
+        # rank-1 costs at n = 3 with a two-dimensional kernel, each certified
+        # unique_by_dual: lam_min falls off linearly but slowly from the true
+        # cost, so the feasible alphas spread up to 7e-4 at the width check's
+        # level and 100-fold less at a 100-fold tighter one. The slow slope
+        # pins alpha* only to about gap / slope (9e-7 for seed 88)
+        for s in (0, 1, 24, 25, 40, 60, 86, 88, 107, 111, 118, 141, 169, 172, 183, 184):
+            rng = np.random.default_rng(s)
+            sys = random_system(rng, 3)
+            g = rng.standard_normal(3)
+            Qbar = np.outer(g, g)
+            Qbar *= 0.8 / np.linalg.norm(Qbar)
+            bundle = io.generate_bundle(sys, Qbar, N=6, M=1, seed=0)
+            report = io.assess(sys, bundle)
+            assert report.verdict == "unique_by_dual" and report.kernel_dim == 2
+            Q = io.recover_with_kernel(sys, bundle, report)
+            assert np.linalg.norm(Q.Q - Qbar) <= 2e-6
+
 
 class TestNoRebuild:
     """assess builds and factors the data matrix; recovery reuses its report."""

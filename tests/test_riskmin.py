@@ -61,8 +61,6 @@ class TestEvalRisk:
         with pytest.raises(io.DimensionMismatch):
             io.RiskProblem(sys, bundle, mode="outputs")
         with pytest.raises(io.DimensionMismatch):
-            io.RiskProblem(sys, bundle, epsilon=0.0)
-        with pytest.raises(io.DimensionMismatch):
             io.RiskProblem(sys, bundle, phi=-1.0)
         other = random_system(rng, n=3, m=1)
         with pytest.raises(io.DimensionMismatch):
@@ -182,7 +180,7 @@ class TestEstimate:
         rel = np.linalg.norm(res.Q_hat.Q - Qbar) / np.linalg.norm(Qbar)
         assert rel < 1.0  # loose: M=20 leaves sizable statistical error
         w = np.linalg.eigvalsh(res.Q_hat.Q)
-        assert w[0] >= -1e-12  # projection leaves a genuinely PSD matrix
+        assert w[0] >= -1e-12  # the barrier keeps every iterate PD
         assert np.sum(res.Q_hat.Q ** 2) <= prob.phi
 
     def test_result_metadata(self):
@@ -196,19 +194,27 @@ class TestEstimate:
         assert res.objective_trace[-1][1] <= res.objective_trace[0][1]
         assert set(res.constraint_activity) == {"psd_margin", "ball_margin"}
         assert res.config["mode"] == "state_obs"
-        assert res.config["epsilon"] == 1e-3
+        assert res.status == "gap_met" and res.n_eval > res.n_iter
         doc = res.to_json()
         assert set(doc) == {
             "Q",
             "objective_trace",
             "converged",
+            "status",
             "constraint_activity",
             "grad_norm_final",
             "n_iter",
+            "n_eval",
             "method",
             "degenerate",
             "config",
         }
+
+    def test_step_budget_is_reported(self):
+        sys, _, _, noisy, prob = _noisy_problem(69, N=8, M=2, max_iters=1)
+        for res in (io.estimate(prob), io.estimate_rm(sys, noisy, max_iters=1)):
+            assert (res.status, res.converged, res.n_iter) == ("step_budget", False, 1)
+            assert res.to_json()["status"] == "step_budget"
 
     def test_trace_can_be_disabled(self):
         _, _, _, _, prob = _noisy_problem(69, N=8, M=2, record_trace=False)
@@ -216,23 +222,35 @@ class TestEstimate:
         assert res.objective_trace == []
 
     def test_start_point_evaluated_once(self, monkeypatch):
-        # trace point 0 is L-BFGS-B's own first evaluation, not a second one
-        at_start = []
-        smoothed = estimate_noisy.smoothed_max_eig
+        # trace point 0 is the core's own first evaluation, not a second one
+        from ioclqr import baseline_rm
 
-        def spy(Q_sym, epsilon):
-            at_start.append(np.array_equal(Q_sym, -np.eye(len(Q_sym))))
-            return smoothed(Q_sym, epsilon)
+        points = []
 
-        monkeypatch.setattr(estimate_noisy, "smoothed_max_eig", spy)
+        def spying(fit):
+            def wrapped(term, *args, **kwargs):
+                def spy(y):
+                    points.append(y.copy())
+                    return term(y)
+
+                return fit(spy, *args, **kwargs)
+
+            return wrapped
+
+        spied = spying(estimate_noisy._barrier_fit)
+        for mod in (estimate_noisy, baseline_rm):
+            monkeypatch.setattr(mod, "_barrier_fit", spied)
+        basis = estimate_noisy._sym_basis(2)
         sys, _, _, noisy, prob = _noisy_problem(69, N=8, M=2)
+        for run in (lambda: io.estimate(prob), lambda: io.estimate_rm(sys, noisy)):
+            points.clear()
+            res = run()
+            assert len(points) == res.n_eval
+            np.testing.assert_array_equal(np.tensordot(points[0], basis, 1), np.eye(2))
+            assert sum(np.array_equal(y, points[0]) for y in points) == 1
+        y0 = points[0]
         res = io.estimate(prob)
-        assert sum(at_start) == 1
-        q0 = io.vech(np.eye(2))
-        assert res.objective_trace[0][1] == estimate_noisy.penalized_objective(prob)(q0)[0]
-        at_start.clear()
-        io.estimate_rm(sys, noisy)
-        assert sum(at_start) == 1
+        assert res.objective_trace[0][1] == estimate_noisy.penalized_objective(prob)(y0)[0]
 
     def test_horizon_below_3_refused(self):
         # at N = 2, u_1 = 0 whatever Q is: nothing to estimate from
@@ -334,3 +352,19 @@ class TestBandRoute:
                 io.risk_gradient(prob, -np.eye(1))
             with pytest.raises(io.SingularSystem):
                 io.eval_risk(prob, np.full((1, 1), np.nan))
+
+
+def test_every_acceptance_fit_converges_strictly_inside():
+    # the acceptance benchmark's configuration (N=50, 15/20 dB, master seed
+    # 0), 30 trials at M=10: all 90 fits close the barrier path, and every
+    # estimate is strictly PD and strictly inside the ball
+    from ioclqr import bench_harness as bh
+
+    cfg = io.BenchConfig(n_trials=30, N=50, M_grid=(10,), master_seed=0)
+    records, _ = bh.run_benchmark(cfg, n_workers=1)
+    cells = {(rec.trial_id, method): c for rec in records for (_, method), c in rec.results.items()}
+    assert len(cells) == 90
+    assert [key for key, c in cells.items() if not c["converged"]] == []
+    for c in cells.values():
+        assert np.linalg.eigvalsh(c["Q_hat"])[0] > 0.0
+        assert np.sum(c["Q_hat"] ** 2) < cfg.phi
