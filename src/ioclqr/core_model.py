@@ -6,7 +6,6 @@ vec(S) = D @ vech(S) for symmetric S.
 """
 
 import copy
-import csv
 import io
 import json
 from dataclasses import dataclass
@@ -341,41 +340,57 @@ def load_cost(path, psd_tol=None):
     return CostMatrix(Q, phi=phi, psd_tol=psd_tol)
 
 
+def _csv_header(n, m):
+    return ["episode", "t"] + [f"x{i+1}" for i in range(n)] + [f"u{j+1}" for j in range(m)]
+
+
 def save_bundle(bundle, path, comments=()):
-    """Trajectory CSV: header `episode,t,x1..xn,u1..um`, u columns empty at t=N.
+    """Trajectory CSV: header `episode,t,x1..xn,u1..um`, CRLF-terminated rows,
+    u columns empty at t=N.
 
     A comment line carries kind and SNR metadata so noisy bundles round-trip;
     extra comment lines (settings echoes) are skipped by the loader.
     """
-    n, m, N = bundle.n, bundle.m, bundle.N
+    n, m, N, M = bundle.n, bundle.m, bundle.N, bundle.M
+    sx = "none" if bundle.snr_db_x is None else _fmt(bundle.snr_db_x)
+    su = "none" if bundle.snr_db_u is None else _fmt(bundle.snr_db_u)
+    head = f"# kind={bundle.kind},snr_db_x={sx},snr_db_u={su}\n"
+    head += "".join(f"# {line}\n" for line in comments)
+    row = "%d,%d" + ("," + FLOAT_FMT) * n
+    episode = (row + ("," + FLOAT_FMT) * m + "\r\n") * (N - 1) + row + "," * m + "\r\n"
+    # one (episode, t, x, u) record per row; the last row's u slots stay
+    # unset and are cut off with the last m entries of each episode
+    rec = np.empty((M, N, 2 + n + m))
+    rec[:, :, 0] = np.arange(1, M + 1)[:, None]
+    rec[:, :, 1] = np.arange(1, N + 1)
+    rec[:, :, 2 : 2 + n] = bundle.X.transpose(0, 2, 1)
+    rec[:, :-1, 2 + n :] = bundle.U.transpose(0, 2, 1)
+    values = tuple(rec.reshape(M, -1)[:, :-m].ravel().tolist())
     with open(path, "w", newline="") as fh:
-        sx = "none" if bundle.snr_db_x is None else _fmt(bundle.snr_db_x)
-        su = "none" if bundle.snr_db_u is None else _fmt(bundle.snr_db_u)
-        fh.write(f"# kind={bundle.kind},snr_db_x={sx},snr_db_u={su}\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(
-            ["episode", "t"]
-            + [f"x{i+1}" for i in range(n)]
-            + [f"u{j+1}" for j in range(m)]
-        )
-        for i, (x, u) in enumerate(zip(bundle.X, bundle.U), start=1):
-            for t in range(1, N + 1):
-                us = [_fmt(v) for v in u[:, t - 1]] if t < N else [""] * m
-                w.writerow([str(i), str(t)] + [_fmt(v) for v in x[:, t - 1]] + us)
+        fh.write(head + ",".join(_csv_header(n, m)) + "\r\n")
+        fh.write(episode * M % values)
 
 
 def load_bundle(path):
-    with open(path, newline="") as fh:
-        text = fh.read()
-    if not text.strip():
+    """Inverse of save_bundle. Raises ParseError, naming the file, unless the
+    header is exactly `episode,t,x1..xn,u1..um`, every row has that many
+    fields, episode and t are integers, each episode holds t = 1..N once,
+    every value is finite and inputs are empty exactly at t = N."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from e
+    if not text or text.isspace():
         raise ParseError(f"{path}: empty file")
     kind, snr_x, snr_u = "exact", None, None
-    lines = text.splitlines()
-    while lines and lines[0].startswith("#"):
-        meta = lines[0].lstrip("# ").strip()
-        for part in meta.split(","):
+    start = 0
+    while True:
+        end = text.find("\n", start) + 1 or len(text)
+        line = text[start:end].rstrip("\n")
+        if not line.startswith("#"):
+            break
+        for part in line.lstrip("# ").strip().split(","):
             if "=" not in part:
                 continue
             key, val = part.split("=", 1)
@@ -391,50 +406,40 @@ def load_bundle(path):
                     snr_x = v
                 else:
                     snr_u = v
-        lines = lines[1:]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: no header row")
-    if len(header) < 3 or header[0] != "episode" or header[1] != "t":
-        raise ParseError(f"{path}: unexpected header {header!r}")
-    n = sum(1 for h in header if h.startswith("x"))
-    m = sum(1 for h in header if h.startswith("u"))
-    if n == 0 or 2 + n + m != len(header):
-        raise ParseError(f"{path}: header does not define x/u columns cleanly")
-    rows = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            epi, t = int(row[0]), int(row[1])
-            xs = [float(v) for v in row[2 : 2 + n]]
-            us = [float(v) for v in row[2 + n : 2 + n + m] if v != ""]
-        except (ValueError, IndexError) as e:
-            raise ParseError(f"{path}: bad row {row!r} ({e})") from e
-        rows.setdefault(epi, {})[t] = (xs, us)
-    if not rows:
+        start = end
+    header = line.split(",")
+    n = sum(h.startswith("x") for h in header)
+    m = len(header) - 2 - n
+    if n < 1 or m < 1 or header != _csv_header(n, m):
+        raise ParseError(f"{path}: header {header!r} is not episode,t,x1..xn,u1..um")
+    body = (text[end:] + "\n").encode()  # the last row may lack its newline
+    del text
+    if body.isspace():
         raise ParseError(f"{path}: no data rows")
-    Ns = {max(ts) for ts in rows.values()}
-    if len(Ns) != 1:
-        raise ParseError(f"{path}: episodes disagree on horizon: {sorted(Ns)}")
-    N = Ns.pop()
-    X = np.empty((len(rows), n, N))
-    U = np.empty((len(rows), m, N - 1))
-    for e, epi in enumerate(sorted(rows)):
-        ts = rows[epi]
-        if sorted(ts) != list(range(1, N + 1)):
-            raise ParseError(f"{path}: episode {epi} is missing time steps")
-        for t in range(1, N + 1):
-            xs, us = ts[t]
-            X[e, :, t - 1] = xs
-            if t < N:
-                if len(us) != m:
-                    raise ParseError(
-                        f"{path}: episode {epi} t={t} has {len(us)} inputs, wanted {m}"
-                    )
-                U[e, :, t - 1] = us
-            elif us:
-                raise ParseError(f"{path}: episode {epi} has inputs at t=N")
+    # the m empty input fields at t=N become NaN; any other NaN was in the file
+    last = b"," * m + b"\n"
+    n_last = body.count(last)
+    try:
+        rows = np.loadtxt(io.BytesIO(body.replace(last, b",nan" * m + b"\n")), delimiter=",",
+                          dtype=[("episode", "i8"), ("t", "i8"), ("v", "f8", (n + m,))],
+                          comments=None, ndmin=1)
+    except ValueError as e:
+        raise ParseError(f"{path}: bad row ({str(e).split(';')[0]})") from e
+    order = np.lexsort((rows["t"], rows["episode"]))
+    epi, t, V = rows["episode"][order], rows["t"][order], rows["v"][order]
+    _, first, counts = np.unique(epi, return_index=True, return_counts=True)
+    Ns = t[first + counts - 1]
+    if np.any(Ns != Ns[0]):
+        raise ParseError(f"{path}: episodes disagree on horizon: {np.unique(Ns).tolist()}")
+    N, M = int(Ns[0]), len(first)
+    if np.any(counts != N) or np.any(t != np.tile(np.arange(1, N + 1), M)):
+        raise ParseError(f"{path}: an episode misses or repeats a time step of 1..{N}")
+    V = V.reshape(M, N, n + m)
+    nan = np.isnan(V)
+    if nan.sum() != m * n_last or np.isinf(V).any():
+        raise ParseError(f"{path}: non-finite value")
+    if n_last != M or not nan[:, -1, n:].all():
+        raise ParseError(f"{path}: inputs must be empty at t=N and only there")
+    X = np.ascontiguousarray(V[:, :, :n].transpose(0, 2, 1))
+    U = np.ascontiguousarray(V[:, :-1, n:].transpose(0, 2, 1))
     return TrajectoryBundle.from_arrays(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)

@@ -236,6 +236,22 @@ class TestIdentify:
             doc = json.load(fh)
         assert doc["verdict"] == "not_determined"
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["1,1,0.5,0.1,0.2,9\n1,2,0.4,0.3,\n",  # a field past the header
+         "1,1,0.5,0.1,0.2\n1,1,0.5,0.1,0.2\n1,2,0.4,0.3,\n",  # repeated step
+         "1,1,0.5,inf,0.2\n1,2,0.4,0.3,\n"],
+        ids=["field_count", "duplicate_step", "non_finite"],
+    )
+    def test_malformed_bundle_exits_1(self, stable_instance, tmp_path, rows, capsys):
+        _, _, spath, _ = stable_instance
+        bad = tmp_path / "bad.csv"
+        bad.write_text("episode,t,x1,x2,u1\n" + rows)
+        rc = cli.main(["identify", "--system", spath, "--bundle", str(bad),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "bad.csv" in capsys.readouterr().err
+
 
 class TestEstimate:
     @pytest.fixture()

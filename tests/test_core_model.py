@@ -1,10 +1,13 @@
+import csv
 import json
+import tracemalloc
+from io import StringIO
 
 import numpy as np
 import pytest
 
 import ioclqr as io
-from ioclqr.core_model import duplication_map, unvech, vec, vech
+from ioclqr.core_model import KINDS, TrajectoryBundle, duplication_map, unvech, vec, vech
 
 
 def test_vec_is_column_major():
@@ -235,3 +238,144 @@ class TestStorage:
         )
         with pytest.raises(io.ParseError):
             io.load_bundle(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # states and inputs swapped against the required column order
+            b"episode,t,u1,x1\n1,1,0.1,0.5\n1,2,0.4,\n",
+            # fields past the header's width
+            b"episode,t,x1,u1\n1,1,0.5,0.1,99,98\n1,2,0.4,\n",
+            # a repeated (episode, t) row
+            b"episode,t,x1,u1\n1,1,0.5,0.1\n1,1,0.7,0.2\n1,2,0.4,\n",
+            b"episode,t,x1,u1\n1,1,nan,0.1\n1,2,0.4,\n",
+            b"episode,t,x1,u1\n1,1,0.5,-inf\n1,2,0.4,\n",
+            # overflows to inf
+            b"episode,t,x1,u1\n1,1,0.5,0.1\n1,2,1e400,\n",
+            # a nan where the input at t=N belongs must not pass for empty
+            b"episode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,nan\n",
+            b"episode,t,x1,u1\n1.5,1,0.5,0.1\n1.5,2,0.4,\n",
+            b"episode,t,x1,u1\n1,1,0.5,0.1\n1,2.0,0.4,\n",
+            b"episode,t,x1,u1\n1,1,0.5,0.1\n1,2,\xff,\n",
+        ],
+        ids=["swapped_header", "extra_fields", "duplicate_step", "nan", "inf",
+             "overflow", "nan_at_t_N", "non_integer_episode", "non_integer_t",
+             "not_utf8"],
+    )
+    def test_bundle_rejects_malformed_rows(self, tmp_path, text):
+        p = tmp_path / "x.csv"
+        p.write_bytes(text)
+        with pytest.raises(io.ParseError, match="x.csv"):
+            io.load_bundle(p)
+
+    def test_bundle_reads_unterminated_last_row_and_crlf(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"# kind=exact\r\nepisode,t,x1,u1\r\n1,1,0.5,0.1\r\n\r\n1,2,0.4,")
+        b = io.load_bundle(p)
+        assert b.X.tolist() == [[[0.5, 0.4]]] and b.U.tolist() == [[[0.1]]]
+
+    def test_load_bundle_memory_linear(self, tmp_path):
+        # n=2, m=1, N=50, M=2000: a 6.4 MB file whose arrays take 2.4 MB;
+        # a per-row dict of lists took 80 MB
+        rng = np.random.default_rng(50)
+        b = TrajectoryBundle.from_arrays(
+            rng.standard_normal((2000, 2, 50)), rng.standard_normal((2000, 1, 49)),
+            "exact", None, None,
+        )
+        path = tmp_path / "big.csv"
+        io.save_bundle(b, path)
+        tracemalloc.start()
+        try:
+            b2 = io.load_bundle(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(b2.X, b.X) and np.array_equal(b2.U, b.U)
+        assert peak < 40 * 2**20
+
+
+def _oracle_save_bundle(bundle, path, comments=()):
+    """The row-by-row csv.writer version the whole-array writer replaced."""
+    fmt = "%.17g"
+    n, m, N = bundle.n, bundle.m, bundle.N
+    with open(path, "w", newline="") as fh:
+        sx = "none" if bundle.snr_db_x is None else fmt % bundle.snr_db_x
+        su = "none" if bundle.snr_db_u is None else fmt % bundle.snr_db_u
+        fh.write(f"# kind={bundle.kind},snr_db_x={sx},snr_db_u={su}\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh)
+        w.writerow(
+            ["episode", "t"] + [f"x{i+1}" for i in range(n)] + [f"u{j+1}" for j in range(m)]
+        )
+        for i, (x, u) in enumerate(zip(bundle.X, bundle.U), start=1):
+            for t in range(1, N + 1):
+                us = [fmt % v for v in u[:, t - 1]] if t < N else [""] * m
+                w.writerow([str(i), str(t)] + [fmt % v for v in x[:, t - 1]] + us)
+
+
+def _oracle_load_bundle(path):
+    """The row-by-row csv.reader version the whole-array reader replaced."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    kind, snr_x, snr_u = "exact", None, None
+    while lines and lines[0].startswith("#"):
+        for part in lines[0].lstrip("# ").strip().split(","):
+            if "=" not in part:
+                continue
+            key, val = (s.strip() for s in part.split("=", 1))
+            if key == "kind" and val in KINDS:
+                kind = val
+            elif key == "snr_db_x" and val != "none":
+                snr_x = float(val)
+            elif key == "snr_db_u" and val != "none":
+                snr_u = float(val)
+        lines = lines[1:]
+    reader = csv.reader(StringIO("\n".join(lines)))
+    header = next(reader)
+    n = sum(1 for h in header if h.startswith("x"))
+    m = sum(1 for h in header if h.startswith("u"))
+    rows = {}
+    for row in reader:
+        if row:
+            xs = [float(v) for v in row[2 : 2 + n]]
+            us = [float(v) for v in row[2 + n : 2 + n + m] if v != ""]
+            rows.setdefault(int(row[0]), {})[int(row[1])] = (xs, us)
+    N = max(rows[min(rows)])
+    X = np.empty((len(rows), n, N))
+    U = np.empty((len(rows), m, N - 1))
+    for e, epi in enumerate(sorted(rows)):
+        for t in range(1, N + 1):
+            xs, us = rows[epi][t]
+            X[e, :, t - 1] = xs
+            if t < N:
+                U[e, :, t - 1] = us
+    return TrajectoryBundle.from_arrays(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n,m,N,M", [(1, 1, 2, 1), (2, 1, 50, 200), (3, 2, 15, 3)])
+@pytest.mark.parametrize("noise", [("exact", None, None), ("noisy_both", 18.5, 1.0 / 3.0)])
+@pytest.mark.parametrize("comments", [(), ("settings seed=5", "free text, with a comma")])
+def test_bundle_io_matches_row_by_row_oracle(tmp_path, n, m, N, M, noise, comments):
+    rng = np.random.default_rng(n * 1000 + N + M)
+    X = rng.standard_normal((M, n, N)) * 10.0 ** rng.integers(-8, 8, (M, n, N))
+    U = rng.standard_normal((M, m, N - 1))
+    special = [-0.0, 1e-310, 1e300, -1e300]
+    X.flat[: len(special)] = special[: X.size]
+    U.flat[: len(special)] = special[::-1][: U.size]
+    b = TrajectoryBundle.from_arrays(X, U, *noise)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    io.save_bundle(b, new, comments=comments)
+    _oracle_save_bundle(b, old, comments=comments)
+    assert new.read_bytes() == old.read_bytes()
+    got, want = io.load_bundle(new), _oracle_load_bundle(old)
+    assert (got.kind, got.snr_db_x, got.snr_db_u) == noise
+    assert (want.kind, want.snr_db_x, want.snr_db_u) == noise
+    assert got.X.shape == want.X.shape and got.U.shape == want.U.shape
+    assert np.array_equal(_bits(got.X), _bits(want.X))
+    assert np.array_equal(_bits(got.U), _bits(want.U))
+    assert np.array_equal(_bits(got.X), _bits(X)) and np.array_equal(_bits(got.U), _bits(U))
