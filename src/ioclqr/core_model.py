@@ -365,10 +365,10 @@ def save_bundle(bundle, path, comments=()):
     rec[:, :, 1] = np.arange(1, N + 1)
     rec[:, :, 2 : 2 + n] = bundle.X.transpose(0, 2, 1)
     rec[:, :-1, 2 + n :] = bundle.U.transpose(0, 2, 1)
-    values = tuple(rec.reshape(M, -1)[:, :-m].ravel().tolist())
     with open(path, "w", newline="") as fh:
         fh.write(head + ",".join(_csv_header(n, m)) + "\r\n")
-        fh.write(episode * M % values)
+        for values in rec.reshape(M, -1)[:, :-m]:
+            fh.write(episode % tuple(values.tolist()))
 
 
 def load_bundle(path):

@@ -73,16 +73,22 @@ def _interval_width_at(f, alpha_star, level, span=1e3):
 
     def crossing(sign):
         lo, hi = 0.0, 1e-6
-        while f(alpha_star + sign * hi) >= level:
+        while (f_hi := f(alpha_star + sign * hi)) >= level:
             hi *= 2.0
             if hi > span:
                 return span
+        # no later step moves a bound once they are adjacent doubles, nor lo
+        # off 0 once f, concave, is below the chord through mid and hi = 2 mid
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if f(alpha_star + sign * mid) >= level:
+            if mid in (lo, hi):
+                break
+            if (f_mid := f(alpha_star + sign * mid)) >= level:
                 lo = mid
+            elif lo == 0.0 and 2.0 * f_mid - f_hi < level:
+                break
             else:
-                hi = mid
+                hi, f_hi = mid, f_mid
         return lo
 
     return crossing(1.0) + crossing(-1.0)

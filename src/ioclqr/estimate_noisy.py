@@ -21,7 +21,7 @@ import numpy as np
 
 from .core_model import CostMatrix, DEFAULT_PHI, as_q, unvech
 from .errors import DimensionMismatch
-from .forward_lqr import BandedPmp
+from .forward_lqr import BandedPmp, pmp_band
 
 MODES = ("state_obs", "input_obs")
 
@@ -110,22 +110,22 @@ def _sym_basis(n):
 
 
 def _stacked(problem):
-    """Initial states (n x M) and observations ((N-1) x k x M), laid out
-    once per fit rather than once per evaluation."""
-    b = problem.bundle
+    """A x_1 (n x M), the observations ((N-1) x k x M) and `pmp_band`: what
+    every evaluation of a fit shares, laid out once per fit."""
+    b, sys = problem.bundle, problem.sys
     Y = b.X[:, :, 1:] if problem.mode == "state_obs" else b.U
-    return b.initial_states(), Y.transpose(2, 1, 0).copy()
+    return sys.A @ b.initial_states(), Y.transpose(2, 1, 0).copy(), pmp_band(sys, b.N)
 
 
 def _risk_pieces(problem, Qm, want_gn, data):
     """Shared evaluation: risk value, per-episode terms and (optionally) the
     gradient and Gauss-Newton matrix in `_sym_basis` coordinates, all from
     one band factorization of F(Q). `data` is `_stacked(problem)`."""
-    X0, Y = data
+    AX0, Y, band = data
     B = problem.sys.B
     state_obs = problem.mode == "state_obs"
-    pmp = BandedPmp(problem.sys, Qm, problem.bundle.N)
-    x, lam = pmp.solve(X0)
+    pmp = BandedPmp(problem.sys, Qm, problem.bundle.N, band)
+    x, lam = pmp.solve(AX0)
     R = (x if state_obs else -(B.T @ lam)) - Y  # u_t = -B' lambda_{t+1}
     per_episode = np.sum(R * R, axis=(0, 1))
     value = float(per_episode.mean())
@@ -134,7 +134,7 @@ def _risk_pieces(problem, Qm, want_gn, data):
     dx, dlam = pmp.q_sensitivities(x, _sym_basis(len(Qm)))
     J = dx if state_obs else -np.einsum("ia,krim->kram", B, dlam)
     J = J.reshape(len(J), -1)  # residual Jacobian, one row per coordinate
-    scale = 2.0 / X0.shape[1]
+    scale = 2.0 / AX0.shape[1]
     return value, per_episode, scale * (J @ R.ravel()), scale * (J @ J.T)
 
 

@@ -7,7 +7,8 @@ dense QP over the inputs. They exist so they can cross-check each other.
 The boundary-value system has two forms. `build_pmp_system`/`pmp_solve`
 assemble F(Q) densely; they are the oracle the tests check against.
 `BandedPmp` factors the same matrix in LAPACK band storage in O(N n^3) time
-and O(N n^2) memory; it is the hot path of the risk estimators.
+and O(N n^2) memory; it generates the data (`generate_bundle`) and is the
+hot path of the risk estimators. The Riccati rollout is the cross-check.
 """
 
 import logging
@@ -76,32 +77,24 @@ def solve_riccati(sys, Q, N):
     return GainSchedule(Ks, Ps, sys)
 
 
-def _rollout(sys, gains, X0):
-    """Closed-loop rollout of every column of X0 (n x M) at once, one
-    (m x n)(n x M) gain product per step: X (M x n x N), U (M x m x (N-1)).
-
-    Products are summed column by column rather than by BLAS, whose rounding
-    depends on the width M: an episode comes out bit for bit the same
-    whatever number of episodes it is rolled out with."""
-    if X0.shape[0] != sys.n:
-        raise DimensionMismatch(f"x_bar has {X0.shape[0]} entries, wanted {sys.n}")
-
-    def times(Mat, Y):
-        return sum(Mat[:, j, None] * Y[j] for j in range(Mat.shape[1]))
-
-    X = np.empty((gains.N, sys.n, X0.shape[1]))
-    U = np.empty((gains.N - 1, sys.m, X0.shape[1]))
-    X[0] = X0
-    for t, K in enumerate(gains.K):
-        U[t] = times(K, X[t])
-        X[t + 1] = times(sys.A, X[t]) + times(sys.B, U[t])
-    return X.transpose(2, 1, 0).copy(), U.transpose(2, 1, 0).copy()
+def _times(Mat, Y):
+    """Mat @ Y over Y's first axis, summed term by term rather than by BLAS,
+    whose rounding depends on the width of Y: a column comes out bit for bit
+    the same whatever number of columns it is computed with."""
+    return sum(np.multiply.outer(Mat[:, j], Y[j]) for j in range(Mat.shape[1]))
 
 
 def simulate(sys, gains, x_bar):
     """Closed-loop rollout x_1 = x_bar, u_t = K_t x_t."""
-    X, U = _rollout(sys, gains, np.asarray(x_bar, dtype=float).reshape(-1, 1))
-    return Episode(X[0], U[0])
+    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
+    if x_bar.shape[0] != sys.n:
+        raise DimensionMismatch(f"x_bar has {x_bar.shape[0]} entries, wanted {sys.n}")
+    x, u = np.empty((sys.n, gains.N)), np.empty((sys.m, gains.N - 1))
+    x[:, 0] = x_bar
+    for t, K in enumerate(gains.K):
+        u[:, t] = _times(K, x[:, t])
+        x[:, t + 1] = _times(sys.A, x[:, t]) + _times(sys.B, u[:, t])
+    return Episode(x, u)
 
 
 def cost_of(sys, Q, episode):
@@ -226,6 +219,21 @@ def _put_band(ab, d, block, cols0):
         ab[d - b : d - b + block.shape[0], cols0 + b] = block[:, b, None]
 
 
+def pmp_band(sys, N):
+    """`BandedPmp`'s band storage of F(Q) with zeros in place of Q: the part
+    that does not change with Q, assembled once for many factorizations."""
+    n, nb, kl = sys.n, N - 1, 3 * sys.n - 1
+    ab = np.zeros((3 * kl + 1, 2 * n * nb), order="F")
+    I, Z, BBt = np.eye(n), np.zeros((n, n)), sys.B @ sys.B.T
+    _put_band(ab, 2 * kl, np.hstack([I, BBt]), np.array([0]))  # row 2kl: the diagonal
+    # block row r = 1..N-2 starts at row n + 2n(r-1) and column 2n(r-1);
+    # for N = 2 there is none and only the first and terminal rows remain
+    blk = np.block([[-sys.A, Z, I, BBt], [Z, -I, Z, sys.A.T]])
+    _put_band(ab, 2 * kl + n, blk, 2 * n * np.arange(nb - 1))
+    _put_band(ab, 2 * kl, I, np.array([2 * n * nb - n]))
+    return ab
+
+
 class BandedPmp:
     """F(Q) of `build_pmp_system`, LU-factored in LAPACK band storage.
 
@@ -236,42 +244,34 @@ class BandedPmp:
     costs O(N n^3) and the storage O(N n^2); the dense matrix is never
     formed. Partial pivoting only finds nonzero candidates inside the band,
     so this is the elimination a dense LU of the reordered F(Q) would do,
-    without its zeros.
+    without its zeros. `band`, when given, is `pmp_band(sys, N)`; it is
+    copied, not changed.
     """
 
-    def __init__(self, sys, Q, N):
+    def __init__(self, sys, Q, N, band=None):
         if N < 2:
             raise DimensionMismatch("horizon must be at least 2")
         n = sys.n
-        A, B = sys.A, sys.B
         Qm = as_q(Q)
         if not np.isfinite(Qm).all():
             raise SingularSystem("F(Q) has non-finite entries")
-        self.n, self.nb, self.A = n, N - 1, A
+        self.n, self.nb = n, N - 1
         self.kl = self.ku = 3 * n - 1
-        size = 2 * n * self.nb
-        d0 = self.kl + self.ku  # band row of the main diagonal
-        ab = np.zeros((2 * self.kl + self.ku + 1, size), order="F")
-        I, Z = np.eye(n), np.zeros((n, n))
-        BBt = B @ B.T
-        _put_band(ab, d0, np.hstack([I, BBt]), np.array([0]))
-        # block row r = 1..N-2 starts at row n + 2n(r-1) and column 2n(r-1);
-        # for N = 2 there is none and only the first and terminal rows remain
-        blk = np.block([[-A, Z, I, BBt], [Qm, -I, Z, A.T]])
-        _put_band(ab, d0 + n, blk, 2 * n * np.arange(self.nb - 1))
-        _put_band(ab, d0, I, np.array([size - n]))
+        ab = pmp_band(sys, N) if band is None else band.copy(order="F")
+        # Q sits n rows below the [-A 0 I BB'] rows of each block row
+        _put_band(ab, 2 * self.kl + 2 * n, Qm, 2 * n * np.arange(self.nb - 1))
         self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         if info != 0:
             raise SingularSystem(
                 f"F(Q) is singular (LAPACK info {info}); Q is not PSD or inputs are corrupt"
             )
 
-    def solve(self, X0):
-        """States x_{2:N} and costates lambda_{2:N}, each (N-1) x n x M, for
-        the initial states X0 (n x M), all episodes in one solve."""
+    def solve(self, AX0):
+        """States x_{2:N} and costates lambda_{2:N}, each (N-1) x n x M, from
+        AX0 = A X0 (n x M) for the initial states X0, all episodes in one solve."""
         n, nb = self.n, self.nb
-        rhs = np.zeros((2 * n * nb, X0.shape[1]), order="F")
-        rhs[:n] = self.A @ X0
+        rhs = np.zeros((2 * n * nb, AX0.shape[1]), order="F")
+        rhs[:n] = AX0
         Z, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs, self.piv, overwrite_b=1)
         Zb = Z.reshape(nb, 2 * n, -1)
         return Zb[:, :n], Zb[:, n:]
@@ -287,7 +287,8 @@ class BandedPmp:
         """
         n, nb = self.n, self.nb
         rhs = np.zeros((nb, 2 * n, len(basis), x.shape[2]))
-        rhs[1:, :n] = -np.einsum("jab,rbm->rajm", basis, x[:-1])
+        # a row of a `_sym_basis` matrix has one nonzero, so each product is exact
+        rhs[1:, :n] = -(basis[None] @ x[:-1, None]).transpose(0, 2, 1, 3)
         dZ, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.reshape(2 * n * nb, -1), self.piv)
         dZ = dZ.reshape(rhs.shape).transpose(2, 0, 1, 3)
         return dZ[:, :, :n], dZ[:, :, n:]
@@ -314,20 +315,23 @@ def _as_seedseq(seed):
 
 
 def generate_bundle(sys, Q, N, M, init_sampler=None, seed=0):
-    """M exact episodes from i.i.d. initial states (default U[-5,5]^n).
-
-    Each episode draws its initial state from its own child RNG stream, so
-    results do not depend on evaluation order; all M are then rolled out
-    together.
-    """
+    """M exact episodes from i.i.d. initial states (default U[-5,5]^n), each
+    drawn from its own child RNG stream, all from one `BandedPmp` solve:
+    x_2..x_N are its states and u_t = -B' lambda_{t+1}. The products around
+    the solve are summed term by term, so an episode's bits do not depend on
+    M. `simulate(solve_riccati(...))` is the independent cross-check."""
     if M < 1:
         raise DimensionMismatch("M must be at least 1")
-    gains = solve_riccati(sys, Q, N)
+    pmp = BandedPmp(sys, Q, N)
     if init_sampler is None:
         init_sampler = lambda rng: rng.uniform(-5.0, 5.0, size=sys.n)
-    streams = _as_seedseq(seed).spawn(M)
-    X0 = np.array([init_sampler(np.random.default_rng(ss)) for ss in streams], dtype=float)
-    X, U = _rollout(sys, gains, X0.reshape(M, -1).T)
+    draws = [init_sampler(np.random.default_rng(ss)) for ss in _as_seedseq(seed).spawn(M)]
+    X0 = np.array(draws, dtype=float).reshape(M, -1).T
+    if X0.shape[0] != sys.n:
+        raise DimensionMismatch(f"x_bar has {X0.shape[0]} entries, wanted {sys.n}")
+    x, lam = pmp.solve(_times(sys.A, X0))
+    X = np.concatenate([X0[None], x]).transpose(2, 1, 0).copy()
+    U = -_times(sys.B.T, lam.transpose(1, 0, 2)).transpose(2, 0, 1).copy()
     return TrajectoryBundle.from_arrays(X, U, "exact", None, None)
 
 

@@ -293,6 +293,24 @@ class TestStorage:
         assert np.array_equal(b2.X, b.X) and np.array_equal(b2.U, b.U)
         assert peak < 40 * 2**20
 
+    def test_save_bundle_memory_bounded_per_episode(self, tmp_path):
+        # n=2, m=1, N=50, M=2000: the stacked records take 3.8 MB; filling the
+        # template for the whole file at once peaked at 32 MB
+        rng = np.random.default_rng(51)
+        b = TrajectoryBundle.from_arrays(
+            rng.standard_normal((2000, 2, 50)), rng.standard_normal((2000, 1, 49)),
+            "exact", None, None,
+        )
+        path = tmp_path / "big.csv"
+        io.save_bundle(b, path)  # warm-up: imports and caches stay out
+        tracemalloc.start()
+        try:
+            io.save_bundle(b, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2**20
+
 
 def _oracle_save_bundle(bundle, path, comments=()):
     """The row-by-row csv.writer version the whole-array writer replaced."""

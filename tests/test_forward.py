@@ -1,8 +1,13 @@
 """Forward problem: Riccati recursion, simulation, and the two oracles."""
 
+import os
+import subprocess
+import sys as sys_module
+
 import numpy as np
 import pytest
 
+import ioclqr
 from ioclqr import (
     AmbiguousSolution,  # noqa: F401  (import sanity for the package surface)
     DimensionMismatch,
@@ -18,6 +23,7 @@ from ioclqr import (
     solve_qp_oracle,
     solve_riccati,
 )
+from ioclqr.bench_harness import BenchConfig, sample_instance
 
 
 class TestRiccatiScalar:
@@ -149,6 +155,48 @@ class TestInputReconstruction:
         assert resid.max() > 1e-3
 
 
+_BUNDLE_SIZES = (1, 2, 3, 64)
+_BUNDLE_SEEDS = (5, 6, 7, 8)
+
+# generate_bundle at every seed and size above for the case saved in
+# argv[1]/case.npz, stored as X<seed>_<M>, U<seed>_<M> in argv[1]/out.npz
+_BUNDLE_SIZES_SCRIPT = f"""
+import sys
+import numpy as np
+import ioclqr as io
+
+case = np.load(sys.argv[1] + "/case.npz")
+sys_ = io.LtiSystem(case["A"], case["B"])
+out = {{}}
+for seed in {_BUNDLE_SEEDS}:
+    for M in {_BUNDLE_SIZES}:
+        b = io.generate_bundle(sys_, case["Q"], N=30, M=M, seed=seed)
+        out[f"X{{seed}}_{{M}}"], out[f"U{{seed}}_{{M}}"] = b.X, b.U
+np.savez(sys.argv[1] + "/out.npz", **out)
+"""
+
+
+def _assert_prefixes_equal(arrays):
+    """Every bundle X<seed>_<M>/U<seed>_<M> is the first M episodes of the
+    largest bundle from its seed."""
+    top = max(_BUNDLE_SIZES)
+    for seed in _BUNDLE_SEEDS:
+        for M in _BUNDLE_SIZES:
+            for key in "XU":
+                want = arrays[f"{key}{seed}_{top}"][:M]
+                np.testing.assert_array_equal(arrays[f"{key}{seed}_{M}"], want)
+
+
+def _assert_matches_riccati(sys, Q, bundle, rtol):
+    """Each episode against the Riccati rollout from its x_1, relative to
+    the episode's largest state and input."""
+    gains = solve_riccati(sys, Q, bundle.N)
+    for x, u in zip(bundle.X, bundle.U):
+        ref = simulate(sys, gains, x[:, 0])
+        assert np.abs(x - ref.x).max() <= rtol * np.abs(ref.x).max()
+        assert np.abs(u - ref.u).max() <= rtol * np.abs(ref.u).max()
+
+
 class TestGenerateBundle:
     def test_shape_kind_and_dynamics(self, random_system, random_psd):
         rng = np.random.default_rng(21)
@@ -174,20 +222,34 @@ class TestGenerateBundle:
             np.testing.assert_array_equal(e1.x, e2.x)
         assert not np.array_equal(b1.episodes[0].x, b3.episodes[0].x)
 
-    def test_episodes_do_not_depend_on_bundle_size(self, random_system, random_psd):
-        # the first M episodes of a larger bundle, and a lone simulate from
-        # the same x_1, match bit for bit: benchmark cells at several M share
-        # one bundle, so their data must not depend on how many are rolled out
+    def test_episodes_do_not_depend_on_bundle_size(self, random_system, random_psd, tmp_path):
+        # the first M episodes of a larger bundle match bit for bit, also
+        # with two BLAS threads: benchmark cells at several M share one
+        # bundle, so their data must not depend on how many are generated
         rng = np.random.default_rng(25)
         sys = random_system(rng, n=3, m=2)
         Q = random_psd(rng, 3)
-        small = generate_bundle(sys, Q, N=30, M=3, seed=5)
-        large = generate_bundle(sys, Q, N=30, M=64, seed=5)
-        np.testing.assert_array_equal(small.X, large.X[:3])
-        np.testing.assert_array_equal(small.U, large.U[:3])
-        ep = simulate(sys, solve_riccati(sys, Q, 30), small.X[1, :, 0])
-        np.testing.assert_array_equal(ep.x, small.X[1])
-        np.testing.assert_array_equal(ep.u, small.U[1])
+        got = {}
+        for seed in _BUNDLE_SEEDS:
+            for M in _BUNDLE_SIZES:
+                b = generate_bundle(sys, Q, N=30, M=M, seed=seed)
+                got[f"X{seed}_{M}"], got[f"U{seed}_{M}"] = b.X, b.U
+        _assert_prefixes_equal(got)
+        np.savez(tmp_path / "case.npz", A=sys.A, B=sys.B, Q=Q)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ioclqr.__file__))
+        subprocess.run(
+            [sys_module.executable, "-c", _BUNDLE_SIZES_SCRIPT, str(tmp_path)], env=env, check=True
+        )
+        with np.load(tmp_path / "out.npz") as out:
+            two_threads = dict(out)
+        _assert_prefixes_equal(two_threads)
+        for key, value in got.items():
+            np.testing.assert_array_equal(two_threads[key], value)
+        # the Riccati rollout is an independent route, equal up to rounding
+        ep = simulate(sys, solve_riccati(sys, Q, 30), got["X5_3"][1, :, 0])
+        np.testing.assert_allclose(ep.x, got["X5_3"][1], rtol=1e-12)
+        np.testing.assert_allclose(ep.u, got["U5_3"][1], rtol=1e-12)
 
     def test_custom_init_sampler(self, random_system, random_psd):
         rng = np.random.default_rng(23)
@@ -203,6 +265,25 @@ class TestGenerateBundle:
         sys = random_system(rng, n=2, m=1)
         with pytest.raises(DimensionMismatch):
             generate_bundle(sys, random_psd(rng, 2), N=4, M=0)
+
+    @pytest.mark.parametrize("N", [50, 400, 1600])
+    def test_band_episodes_match_riccati(self, N):
+        cfg = BenchConfig(N=N, M_grid=(4,), master_seed=N)
+        for trial in range(3):
+            sys, cost, init_ss, _ = sample_instance(cfg, trial)
+            bundle = generate_bundle(sys, cost, N, 4, seed=init_ss)
+            _assert_matches_riccati(sys, cost.Q, bundle, 1e-12)
+            bundle.check_dynamics(sys)
+
+    def test_band_episodes_match_riccati_unstable(self, random_system, random_psd):
+        # rho(A) = 3: the open loop grows 3^N, the optimal closed loop does not
+        rng = np.random.default_rng(26)
+        for N in (50, 400):
+            sys = random_system(rng, n=3, rho=3.0)
+            Q = random_psd(rng, 3)
+            bundle = generate_bundle(sys, Q, N, 4, seed=N)
+            _assert_matches_riccati(sys, Q, bundle, 1e-10)
+            bundle.check_dynamics(sys)
 
 
 class TestAddNoise:

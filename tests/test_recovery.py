@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ioclqr as io
-from ioclqr import cli, identifiability
+from ioclqr import cli, estimate_noiseless, identifiability
 
 
 def _recover_error(sys, Qbar, N, M, seed, phi=5.0):
@@ -224,6 +224,54 @@ class TestKernelRecovery:
             assert report.verdict == "unique_by_dual" and report.kernel_dim == 2
             Q = io.recover_with_kernel(sys, bundle, report)
             assert np.linalg.norm(Q.Q - Qbar) <= 2e-6
+
+
+def _interval_width_200(f, alpha_star, level, span=1e3):
+    """The width search with a fixed 200 halvings per crossing."""
+
+    def crossing(sign):
+        lo, hi = 0.0, 1e-6
+        while f(alpha_star + sign * hi) >= level:
+            hi *= 2.0
+            if hi > span:
+                return span
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if f(alpha_star + sign * mid) >= level:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return crossing(1.0) + crossing(-1.0)
+
+
+def test_width_search_stops_at_adjacent_doubles(monkeypatch, example_instance, rich_instance):
+    # the widths stay bit for bit those of 200 halvings, at no more than 80
+    # evaluations per crossing (doubling and bisection together)
+    width_at = estimate_noiseless._interval_width_at
+    evals = []
+
+    def checked(f, alpha_star, level, span=1e3):
+        steps = []
+
+        def counted(alpha):
+            steps.append(alpha - alpha_star)
+            return f(alpha)
+
+        got = width_at(counted, alpha_star, level, span)
+        assert got.hex() == _interval_width_200(f, alpha_star, level, span).hex()
+        evals.append((sum(s >= 0 for s in steps), sum(s <= 0 for s in steps)))
+        return got
+
+    monkeypatch.setattr(estimate_noiseless, "_interval_width_at", checked)
+    cases = TestKernelRecovery()
+    cases.test_worked_instance(example_instance)
+    cases.test_flat_face_is_flagged(rich_instance)
+    cases.test_interior_ball_is_flagged(rich_instance)
+    for rotate in (False, True):
+        cases.test_oblique_segment_is_flagged(rich_instance, rotate)
+    assert len(evals) >= 6 and max(max(e) for e in evals) <= 80
 
 
 class TestNoRebuild:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import ioclqr as io
-from ioclqr import estimate_noisy
+from ioclqr import estimate_noisy, forward_lqr
 
 
 def _noisy_problem(seed, mode="state_obs", n=2, N=10, M=3, **kw):
@@ -352,6 +353,67 @@ class TestBandRoute:
                 io.risk_gradient(prob, -np.eye(1))
             with pytest.raises(io.SingularSystem):
                 io.eval_risk(prob, np.full((1, 1), np.nan))
+
+
+class _PerCallBand(forward_lqr.BandedPmp):
+    """`BandedPmp` as it was before the Q-free band was shared: the whole band
+    assembled from blocks on every call, the sensitivities' right-hand side
+    formed by einsum."""
+
+    def __init__(self, sys, Q, N, band=None):
+        n, nb = sys.n, N - 1
+        A, B = sys.A, sys.B
+        self.n, self.nb = n, nb
+        self.kl = self.ku = 3 * n - 1
+        size = 2 * n * nb
+        d0 = self.kl + self.ku
+        ab = np.zeros((2 * self.kl + self.ku + 1, size), order="F")
+        I, Z = np.eye(n), np.zeros((n, n))
+        BBt = B @ B.T
+        forward_lqr._put_band(ab, d0, np.hstack([I, BBt]), np.array([0]))
+        blk = np.block([[-A, Z, I, BBt], [np.asarray(Q, dtype=float), -I, Z, A.T]])
+        forward_lqr._put_band(ab, d0 + n, blk, 2 * n * np.arange(nb - 1))
+        forward_lqr._put_band(ab, d0, I, np.array([size - n]))
+        self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+        assert info == 0
+
+    def q_sensitivities(self, x, basis):
+        n, nb = self.n, self.nb
+        rhs = np.zeros((nb, 2 * n, len(basis), x.shape[2]))
+        rhs[1:, :n] = -np.einsum("jab,rbm->rajm", basis, x[:-1])
+        dZ, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.reshape(2 * n * nb, -1), self.piv)
+        dZ = dZ.reshape(rhs.shape).transpose(2, 0, 1, 3)
+        return dZ[:, :, :n], dZ[:, :, n:]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n,m,N", [(1, 1, 2), (2, 1, 3), (2, 1, 50), (3, 2, 40)])
+def test_shared_band_matches_per_call_assembly(n, m, N):
+    sys, noisy, Q = _band_case(500 + 10 * n + N, n, m, N)
+    band = forward_lqr.pmp_band(sys, N)
+    AX0 = sys.A @ noisy.initial_states()
+    basis = estimate_noisy._sym_basis(n)
+    for pmp in (forward_lqr.BandedPmp(sys, Q, N, band), forward_lqr.BandedPmp(sys, Q, N)):
+        ref = _PerCallBand(sys, Q, N)
+        assert np.array_equal(_bits(pmp.lu), _bits(ref.lu))
+        assert np.array_equal(pmp.piv, ref.piv)
+        x = pmp.solve(AX0)[0]
+        for got, want in zip(pmp.q_sensitivities(x, basis), ref.q_sensitivities(x, basis)):
+            assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(band, forward_lqr.pmp_band(sys, N))  # the band is not changed
+
+
+@pytest.mark.parametrize("mode", estimate_noisy.MODES)
+def test_shared_band_fit_matches_per_call_assembly(monkeypatch, mode):
+    _, _, _, _, prob = _noisy_problem(72, mode=mode, N=40, M=4)
+    got = io.estimate(prob)
+    monkeypatch.setattr(estimate_noisy, "BandedPmp", _PerCallBand)
+    want = io.estimate(prob)
+    assert np.array_equal(_bits(got.Q_hat.Q), _bits(want.Q_hat.Q))
+    assert (got.n_iter, got.n_eval) == (want.n_iter, want.n_eval)
 
 
 def test_every_acceptance_fit_converges_strictly_inside():
