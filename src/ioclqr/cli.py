@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Five subcommands cover the batch workflows: forward (solve and simulate one
+Five subcommands cover the batch workflows: forward (solve for one optimal
 episode), generate (sample a dataset, optionally noisy), identify (rank and
 certificate report), estimate (recover the state cost by one of four
 methods), and bench (Monte-Carlo consistency study). Exit codes: 0 success,
@@ -17,17 +17,16 @@ from .baseline_rm import estimate_rm
 from .bench_harness import BenchConfig, default_workers, run_benchmark
 from .core_model import (
     DEFAULT_PHI,
-    TrajectoryBundle,
     load_bundle,
     load_cost,
     load_system,
     read_json,
     save_bundle,
 )
-from .errors import DimensionMismatch, IocError, SolverNotConverged
+from .errors import IocError, SolverNotConverged
 from .estimate_noiseless import recover_exact
 from .estimate_noisy import EstimateResult, RiskProblem, estimate
-from .forward_lqr import add_noise, generate_bundle, simulate, solve_riccati
+from .forward_lqr import add_noise, generate_bundle
 from .identifiability import assess
 
 DEFAULT_HORIZON = 50
@@ -76,11 +75,7 @@ def _write_json(doc, path):
 def cmd_forward(args):
     sys_ = load_system(args.system)
     cost = load_cost(args.cost)
-    if args.x0.shape[0] != sys_.n:
-        raise DimensionMismatch(f"x0 has {args.x0.shape[0]} entries, system has n={sys_.n}")
-    gains = solve_riccati(sys_, cost, args.horizon)
-    ep = simulate(sys_, gains, args.x0)
-    bundle = TrajectoryBundle([ep], args.horizon, kind="exact")
+    bundle = generate_bundle(sys_, cost, args.horizon, 1, init_sampler=lambda rng: args.x0)
     save_bundle(
         bundle,
         args.out,

@@ -50,7 +50,7 @@ class RiskProblem:
     def observations(self):
         """Observation matrix, one column per episode: x_2..x_N (state_obs)
         or u_1..u_{N-1} (input_obs), stacked."""
-        Y = _stacked(self)[1]
+        Y = _observed(self)
         return Y.reshape(-1, Y.shape[2])
 
 
@@ -109,12 +109,15 @@ def _sym_basis(n):
     return E
 
 
-def _stacked(problem):
-    """A x_1 (n x M), the observations ((N-1) x k x M) and `pmp_band`: what
-    every evaluation of a fit shares, laid out once per fit."""
-    b, sys = problem.bundle, problem.sys
-    Y = b.X[:, :, 1:] if problem.mode == "state_obs" else b.U
-    return sys.A @ b.initial_states(), Y.transpose(2, 1, 0).copy(), pmp_band(sys, b.N)
+def _observed(problem):
+    """The observations, (N-1) x k x M: x_2..x_N or u_1..u_{N-1}."""
+    b = problem.bundle
+    return (b.X[:, :, 1:] if problem.mode == "state_obs" else b.U).transpose(2, 1, 0).copy()
+
+
+def _stacked(problem, band=None):
+    """A x_1, `_observed` and `band` (a fit's shared `pmp_band`, or None)."""
+    return problem.sys.A @ problem.bundle.initial_states(), _observed(problem), band
 
 
 def _risk_pieces(problem, Qm, want_gn, data):
@@ -191,7 +194,7 @@ def penalized_objective(problem):
     """The data term of a RiskProblem for the fitting core: y -> (risk, its
     gradient, its Gauss-Newton matrix) in `_sym_basis` coordinates. The
     log-barrier is the core's interior penalty."""
-    data = _stacked(problem)
+    data = _stacked(problem, pmp_band(problem.sys, problem.bundle.N))
     basis = _sym_basis(problem.sys.n)
 
     def risk(y):

@@ -7,8 +7,8 @@ dense QP over the inputs. They exist so they can cross-check each other.
 The boundary-value system has two forms. `build_pmp_system`/`pmp_solve`
 assemble F(Q) densely; they are the oracle the tests check against.
 `BandedPmp` factors the same matrix in LAPACK band storage in O(N n^3) time
-and O(N n^2) memory; it generates the data (`generate_bundle`) and is the
-hot path of the risk estimators. The Riccati rollout is the cross-check.
+and O(N n^2) memory; `generate_bundle` (the CLI's forward and generate)
+and the risk estimators solve on it. The Riccati rollout is the cross-check.
 """
 
 import logging
@@ -92,8 +92,8 @@ def simulate(sys, gains, x_bar):
     x, u = np.empty((sys.n, gains.N)), np.empty((sys.m, gains.N - 1))
     x[:, 0] = x_bar
     for t, K in enumerate(gains.K):
-        u[:, t] = _times(K, x[:, t])
-        x[:, t + 1] = _times(sys.A, x[:, t]) + _times(sys.B, u[:, t])
+        u[:, t] = K @ x[:, t]
+        x[:, t + 1] = sys.A @ x[:, t] + sys.B @ u[:, t]
     return Episode(x, u)
 
 
@@ -253,6 +253,8 @@ class BandedPmp:
             raise DimensionMismatch("horizon must be at least 2")
         n = sys.n
         Qm = as_q(Q)
+        if Qm.shape != (n, n):
+            raise DimensionMismatch(f"Q shape {Qm.shape} != ({n}, {n})")
         if not np.isfinite(Qm).all():
             raise SingularSystem("F(Q) has non-finite entries")
         self.n, self.nb = n, N - 1
@@ -328,7 +330,7 @@ def generate_bundle(sys, Q, N, M, init_sampler=None, seed=0):
     draws = [init_sampler(np.random.default_rng(ss)) for ss in _as_seedseq(seed).spawn(M)]
     X0 = np.array(draws, dtype=float).reshape(M, -1).T
     if X0.shape[0] != sys.n:
-        raise DimensionMismatch(f"x_bar has {X0.shape[0]} entries, wanted {sys.n}")
+        raise DimensionMismatch(f"x0 has {X0.shape[0]} entries, system has n={sys.n}")
     x, lam = pmp.solve(_times(sys.A, X0))
     X = np.concatenate([X0[None], x]).transpose(2, 1, 0).copy()
     U = -_times(sys.B.T, lam.transpose(1, 0, 2)).transpose(2, 0, 1).copy()

@@ -178,6 +178,32 @@ class TestGenerate:
             assert abs(10 * np.log10(pu / eu) - 20.0) < 0.5
 
 
+    @pytest.mark.parametrize("command", ["generate", "forward"])
+    def test_cost_of_another_size_exits_2(self, stable_instance, tmp_path, command):
+        _, _, spath, _ = stable_instance
+        cpath = tmp_path / "cost3.json"
+        io.save_cost(io.CostMatrix(np.eye(3)), cpath)
+        out = tmp_path / "d.csv"
+        argv = [command, "--system", spath, "--cost", str(cpath), "--out", str(out)]
+        if command == "forward":
+            argv += ["--x0", "1,0"]
+        assert cli.main(argv) == 2 and not out.exists()
+
+    def test_forward_reproduces_generated_episode(self, stable_instance, tmp_path):
+        # forward and generate share one route: from a generated episode's
+        # x_1, forward writes that episode again, bit for bit
+        _, _, spath, cpath = stable_instance
+        data, traj = str(tmp_path / "d.csv"), str(tmp_path / "t.csv")
+        assert cli.main(["generate", "--system", spath, "--cost", cpath, "--horizon", "30",
+                         "--episodes", "3", "--seed", "4", "--out", data]) == 0
+        ep = io.load_bundle(data).episodes[2]
+        x0 = ",".join(repr(float(v)) for v in ep.x[:, 0])
+        assert cli.main(["forward", "--system", spath, "--cost", cpath, f"--x0={x0}",
+                         "--horizon", "30", "--out", traj]) == 0
+        got = io.load_bundle(traj).episodes[0]
+        np.testing.assert_array_equal(got.x, ep.x)
+        np.testing.assert_array_equal(got.u, ep.u)
+
     @pytest.mark.parametrize("flag,value", [("--snr-x", "abc"), ("--snr-u", "nan")])
     def test_bad_snr_exits_2(self, stable_instance, tmp_path, flag, value):
         _, _, spath, cpath = stable_instance

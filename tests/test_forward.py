@@ -266,6 +266,17 @@ class TestGenerateBundle:
         with pytest.raises(DimensionMismatch):
             generate_bundle(sys, random_psd(rng, 2), N=4, M=0)
 
+    @pytest.mark.parametrize("q_size", [2, 4])
+    def test_rejects_cost_of_another_size(self, random_system, q_size):
+        # a smaller Q would fill only the top-left of each n x n Q slot of the
+        # band, that is generate data for [[Q, 0], [0, 0]]
+        rng = np.random.default_rng(27)
+        sys = random_system(rng, n=3, m=1)
+        with pytest.raises(DimensionMismatch, match="Q shape"):
+            generate_bundle(sys, np.eye(q_size), N=5, M=2)
+        with pytest.raises(DimensionMismatch, match="Q shape"):
+            ioclqr.forward_lqr.BandedPmp(sys, np.eye(q_size), 5)
+
     @pytest.mark.parametrize("N", [50, 400, 1600])
     def test_band_episodes_match_riccati(self, N):
         cfg = BenchConfig(N=N, M_grid=(4,), master_seed=N)

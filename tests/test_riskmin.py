@@ -416,6 +416,22 @@ def test_shared_band_fit_matches_per_call_assembly(monkeypatch, mode):
     assert (got.n_iter, got.n_eval) == (want.n_iter, want.n_eval)
 
 
+def test_only_fits_assemble_a_shared_band(monkeypatch):
+    # observations() and one-off evaluations assemble no band to copy; a fit
+    # assembles one for all its evaluations
+    _, Qbar, _, _, prob = _noisy_problem(73, N=20, M=3)
+    calls = []
+    monkeypatch.setattr(
+        estimate_noisy, "pmp_band", lambda *a: calls.append(a) or forward_lqr.pmp_band(*a)
+    )
+    prob.observations()
+    io.eval_risk(prob, Qbar)
+    io.risk_gradient(prob, Qbar)
+    assert calls == []
+    io.estimate(prob)
+    assert len(calls) == 1
+
+
 def test_every_acceptance_fit_converges_strictly_inside():
     # the acceptance benchmark's configuration (N=50, 15/20 dB, master seed
     # 0), 30 trials at M=10: all 90 fits close the barrier path, and every
