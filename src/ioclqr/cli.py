@@ -8,6 +8,7 @@ methods), and bench (Monte-Carlo consistency study). Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -146,6 +147,7 @@ def cmd_bench(args):
     print(f"wrote trials.csv, summary.csv, timings.csv under {args.out_dir}")
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="ioclqr",
@@ -160,7 +162,6 @@ def build_parser():
     f.add_argument("--x0", required=True, type=_x0_type, help="comma-separated initial state")
     f.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="horizon N (default %(default)s)")
     f.add_argument("--out", required=True, help="trajectory CSV to write")
-    f.set_defaults(func=cmd_forward)
 
     g = sub.add_parser("generate", help="sample a trajectory dataset, optionally noisy")
     g.add_argument("--system", required=True)
@@ -171,13 +172,11 @@ def build_parser():
     g.add_argument("--snr-x", type=_snr_type, default="none", help='state SNR in dB, or "none"')
     g.add_argument("--snr-u", type=_snr_type, default="none", help='input SNR in dB, or "none"')
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
 
     i = sub.add_parser("identify", help="identifiability report for an exact dataset")
     i.add_argument("--system", required=True)
     i.add_argument("--bundle", required=True, help="trajectory CSV")
     i.add_argument("--out", required=True, help="report JSON to write")
-    i.set_defaults(func=cmd_identify)
 
     e = sub.add_parser("estimate", help="recover the state cost from a dataset")
     e.add_argument("--system", required=True)
@@ -190,21 +189,18 @@ def build_parser():
     )
     e.add_argument("--phi", type=float, default=DEFAULT_PHI, help="Frobenius ball radius squared")
     e.add_argument("--out", required=True, help="estimate JSON to write")
-    e.set_defaults(func=cmd_estimate)
 
     b = sub.add_parser("bench", help="run the Monte-Carlo consistency benchmark")
     b.add_argument("--config", help="benchmark config JSON (defaults used if omitted)")
     b.add_argument("--out-dir", required=True)
     b.add_argument("--workers", type=int, default=0, help="worker processes (default: cpu count, at most 4)")
-    b.set_defaults(func=cmd_bench)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_glue_x0(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_glue_x0(sys.argv[1:] if argv is None else argv))
     try:
-        args.func(args)
+        globals()[f"cmd_{args.command}"](args)
     except (IocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 1)

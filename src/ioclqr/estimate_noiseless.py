@@ -4,7 +4,7 @@ The stacked linear system ties vech(Q) to the observed inputs; with full
 column rank a least-squares solve recovers Q directly, and in the certified
 rank-deficient case the unique PSD point on the solution affine set is found
 by maximizing the smallest eigenvalue along the kernel directions, on the
-same barrier path that solves the dual certificate.
+dual certificate's run of the noisy fits' log-barrier path.
 """
 
 import warnings
@@ -120,8 +120,8 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     # below exact PSD-ness (empty at this level); the maximizer is still
     # unique then, and the cost tolerance is relaxed at construction below.
     amb_tol = 1e-8 * max(1.0, float(np.linalg.norm(q_prime)))
-    # widths are measured along the eigenvectors of the path's last Newton
-    # matrix: a feasible segment through alpha* lies along its flattest
+    # widths are measured along the eigenvectors of the path's end curvature
+    # (`_max_min_eig`): a feasible segment through alpha* lies along its flattest
     # direction, oblique to the kernel coordinates or not. A 100-fold tighter
     # level shrinks the width 100-fold where lam_min falls off linearly (a
     # sharp maximum), 10-fold where it falls off quadratically, not at all
@@ -133,7 +133,7 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
         )
         if wide > 1e-6 and tight > wide / 30.0:
             raise AmbiguousSolution(
-                f"feasible alphas spread over {wide:.3e} (> 1e-6) along Newton direction {k}, "
+                f"feasible alphas spread over {wide:.3e} (> 1e-6) along curvature direction {k}, "
                 f"{tight:.3e} at a 100-fold tighter level"
             )
     Qm = q_prime + np.tensordot(end.alpha, kernel, 1)

@@ -11,7 +11,8 @@ and Gauss-Newton matrix): O(N n^3) time, memory linear in N. The dense
 the residual-minimization baseline (only the data term f differs), follows
 a log-barrier path for f(Q) - tau (log det Q + log(phi - ||Q||_F^2)), so
 every iterate is strictly inside {Q >= 0, ||Q||_F^2 <= phi} and nothing is
-projected afterwards.
+projected afterwards. The path (`_barrier_path`) takes any affine LMI
+S0 + sum_k y_k A_k >= 0 in a ball; `identifiability`'s certificate uses it.
 """
 
 from dataclasses import dataclass, field
@@ -204,74 +205,87 @@ def penalized_objective(problem):
     return risk
 
 
-def _barrier(y, basis, phi):
-    """-log det Q(y) - log(phi - |y|^2) with its gradient and Hessian in y,
-    or None unless Q(y) is positive definite and y inside the ball."""
+def _barrier(y, S0, A, phi):
+    """-log det S(y) - log(phi - |y|^2), S(y) = S0 + sum_k y_k A_k, with its
+    gradient and Hessian in y and the inverse Cholesky factor C^-1 of S(y),
+    or None unless S(y) is positive definite and y inside the ball."""
     slack = phi - float(y @ y)
     if not slack > 0.0:
         return None
     try:
-        C = np.linalg.cholesky(np.tensordot(y, basis, 1))
+        C = np.linalg.cholesky(S0 + np.tensordot(y, A, 1))
     except np.linalg.LinAlgError:
         return None
     Ci = np.linalg.inv(C)
-    S = Ci @ basis @ Ci.T  # C^-1 E_k C^-T: tr S_k = tr(Q^-1 E_k)
+    S = Ci @ A @ Ci.T  # C^-1 A_k C^-T: tr S_k = tr(S(y)^-1 A_k)
     value = -2.0 * float(np.log(np.diag(C)).sum()) - np.log(slack)
     grad = 2.0 * y / slack - np.trace(S, axis1=1, axis2=2)
     hess = np.einsum("iab,jab->ij", S, S) + (2.0 / slack) * np.eye(len(y))
-    return value, grad, hess + np.outer(y, y) * (4.0 / slack**2)
+    return value, grad, hess + np.outer(y, y) * (4.0 / slack**2), Ci
 
 
-def _barrier_fit(term, n, config, method, record_trace=True):
-    """The fitting core of both noisy estimators: damped Gauss-Newton steps
-    on f + tau b over the `_sym_basis` coordinates y of Q, from Q0 = I
-    (shrunk to ||Q0||_F^2 = phi / 2 when n > phi / 2), where term(y) =
-    (f, gradient g, Gauss-Newton matrix H) and b is `_barrier`. Each step
+def _barrier_path(term, y, lmi, grad_tol, max_iters):
+    """The one log-barrier path: damped Gauss-Newton steps on f + tau b from
+    the strictly feasible y, where term(y) = (f, gradient g, Gauss-Newton
+    matrix H) and b is `_barrier` of lmi = (S0, A, phi). Each step
     backtracks (Armijo) to a strictly feasible point that lowers f + tau b.
-    Once the scaled Newton decrement (g' K^-1 g / tau)^(1/2), K = H +
-    tau b'', is below 1/2, the path stops if (n + 1) tau <= grad_tol
-    max(1, f), n + 1 being the barrier's parameter (for convex f this bounds
-    the suboptimality), and cuts tau tenfold otherwise. max_iters bounds the
-    Newton steps."""
-    basis, phi, nu = _sym_basis(n), config["phi"], n + 1
-    y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
-    (f, g, H), (b, gb, Hb) = term(y), _barrier(y, basis, phi)
-    tau, trace, n_eval, status = max(1.0, f) / nu, [(0, f)], 1, "step_budget"
+    Once the scaled Newton decrement (g' K^-1 g / tau)^(1/2), K = H + tau
+    b'', is below 1/2 (a tau cut), the path stops if nu tau <= grad_tol
+    max(1, f), nu = dim S + 1 being the barrier's parameter (for convex f
+    this bounds the suboptimality), and cuts tau tenfold otherwise. Returns
+    (y, final gradient, trace, n_eval, status, cuts), at most max_iters
+    steps, cuts holding (tau, Newton step, C^-1) at each tau cut."""
+    (f, g, H), bar = term(y), _barrier(y, *lmi)
+    nu = len(lmi[0]) + 1
+    tau, trace, n_eval, status, cuts = max(1.0, f) / nu, [(0, f)], 1, "step_budget", []
     while True:
-        grad = g + tau * gb
-        # next to the boundary tau Hb can make K singular in floating point
-        step = -np.linalg.lstsq(H + tau * Hb, grad, rcond=None)[0]
+        grad = g + tau * bar[1]
+        # next to the boundary tau b'' can make K singular in floating point
+        step = -np.linalg.lstsq(H + tau * bar[2], grad, rcond=None)[0]
         slope = float(grad @ step)
         if -slope < 0.25 * tau:
-            if nu * tau <= config["grad_tol"] * max(1.0, f):
+            cuts.append((tau, step, bar[3]))
+            if nu * tau <= grad_tol * max(1.0, f):
                 status = "gap_met"
                 break
             tau *= 0.1
             continue
-        if len(trace) > config["max_iters"]:
+        if len(trace) > max_iters:
             break
         for alpha in 0.5 ** np.arange(50):
             trial = y + alpha * step
-            bar = _barrier(trial, basis, phi)
-            if bar is not None:
+            new = _barrier(trial, *lmi)
+            if new is not None:
                 point, n_eval = term(trial), n_eval + 1
-                if point[0] + tau * bar[0] <= f + tau * b + 0.25 * alpha * slope:
+                if point[0] + tau * new[0] <= f + tau * bar[0] + 0.25 * alpha * slope:
                     break
         else:
             status = "line_search_failed"
             break
-        y, (f, g, H), (b, gb, Hb) = trial, point, bar
+        y, (f, g, H), bar = trial, point, new
         trace.append((len(trace), f))
     if status == "gap_met":
         # the barrier holds an interior minimizer O(tau) away from itself;
         # one undamped Gauss-Newton step on f alone removes that offset when
-        # it stays strictly inside the set and lowers f
+        # it stays strictly inside the set and lowers f (H = 0: no step)
         trial = y - np.linalg.lstsq(H, g, rcond=None)[0]
-        if _barrier(trial, basis, phi) is not None:
+        if _barrier(trial, *lmi) is not None:
             point, n_eval = term(trial), n_eval + 1
             if point[0] < f:
                 y, (f, grad, _) = trial, point
                 trace.append((len(trace), f))
+    return y, grad, trace, n_eval, status, cuts
+
+
+def _barrier_fit(term, n, config, method, record_trace=True):
+    """The fitting core of both noisy estimators: `_barrier_path` over the
+    `_sym_basis` coordinates y of Q (S(y) = Q, the ball ||Q||_F^2 <= phi)
+    from Q0 = I, shrunk to ||Q0||_F^2 = phi / 2 when n > phi / 2."""
+    basis, phi = _sym_basis(n), config["phi"]
+    y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
+    y, grad, trace, n_eval, status, _ = _barrier_path(
+        term, y, (np.zeros((n, n)), basis, phi), config["grad_tol"], config["max_iters"]
+    )
     return EstimateResult(
         CostMatrix(np.tensordot(y, basis, 1), phi=phi),
         objective_trace=trace if record_trace else [],

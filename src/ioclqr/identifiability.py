@@ -3,8 +3,9 @@
 Chain of tests, cheapest first: full column rank of the stacked data matrix,
 the second-last-state spanning condition, and finally a dual-SDP
 non-degeneracy certificate for the rank-deficient case. The certificate and
-the kernel recovery in estimate_noiseless share one primal-dual barrier path
-for max lam_min(Q' + sum alpha_k dQ_k) and its trace-normalized dual.
+the kernel recovery in estimate_noiseless solve max lam_min(Q' + sum alpha_k
+dQ_k) on the noisy fits' log-barrier path (`estimate_noisy._barrier_path`)
+and read its trace-normalized dual off that path's tau cuts.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ import numpy as np
 
 from .core_model import duplication_map, psd_tol_for, rank_tol, unvech, vech
 from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
+from .estimate_noisy import _barrier_path
 
 VERDICTS = ("unique_by_rank", "unique_by_thm3", "unique_by_dual", "not_determined")
 
@@ -34,7 +36,7 @@ class Prop2Record:
     # is this plus the (larger) gap at the point Phi_star was taken
     dual_value: float
     max_violation: float
-    n_iter: int  # Newton steps of the barrier path
+    n_iter: int  # Newton steps of the barrier path; 0 when I is in span{dQ_k}
     gap: float  # duality gap where the path stopped; inf when it found no bound
 
 
@@ -42,10 +44,10 @@ class _PathEnd(NamedTuple):
     bounded: bool
     alpha: np.ndarray
     lam: float
-    duals: list  # (gap, trace-1 dual point) at each step with Newton decrement below 1
+    duals: list  # (gap, trace-1 dual point) at each tau cut of the path
     gap: float
     n_steps: int
-    curvature: np.ndarray  # alpha block of the last Newton matrix
+    curvature: np.ndarray  # alpha block of log det S's Hessian at the path's end
 
 
 @dataclass
@@ -159,56 +161,44 @@ def check_thm3(bundle):
 
 
 def _max_min_eig(Q_prime, kernel_basis):
-    """Barrier path for max t s.t. S = Q' + sum_k alpha_k dQ_k - t I >= 0.
-
-    Damped Newton steps on t/mu + log det S in y = (alpha, t), with mu cut
-    tenfold whenever the Newton decrement is below 1/2, until the duality gap
-    is under PROP2_GAP_TOL ||Q'||. Each step with decrement below 1 also
-    yields the dual point Phi = mu (S^-1 - S^-1 dS S^-1) of the
-    trace-normalized problem min tr(Q' Phi) s.t. Phi >= 0, tr Phi = 1,
-    tr(dQ_k Phi) = 0: its equalities hold exactly, Phi >= 0 because the
-    decrement bounds ||S^-1/2 dS S^-1/2||, and its gap is tr(S Phi).
-    Every such (gap, Phi) is kept, so callers can read Phi at the precision
-    they need. bounded is False when ||alpha|| runs past ||Q'|| /
-    PROP2_GAP_TOL or the Newton matrix is singular: then some combination of
-    the dQ_k is PSD, so lam_min does not fall along a whole ray of alphas,
-    or lam_min is flat along a segment: its curvature there ends ~(gap /
-    ||Q'||)^2 times that of the other directions, below what Cholesky resolves.
-    The alpha block of the last Newton matrix is the barrier's curvature at
-    the end: its small eigenvalues belong to the kernel directions along
-    which lam_min falls slowest.
+    """max t s.t. S = Q' + sum_k alpha_k dQ_k - t I >= 0 on `_barrier_path`,
+    scaled by s = ||Q'||: S0 = Q'/s, A = [dQ_1 .. dQ_k, -I], y = (alpha, t)/s,
+    f(y) = -t, grad_tol PROP2_GAP_TOL and the ball ||y||^2 <= 1e8 (at radius
+    1e5, phi - ||y||^2 keeps too few digits for the last tau cuts). Each tau
+    cut with Newton step dy gives a dual point Phi = tau (S^-1 - S^-1 dS
+    S^-1) >= 0 (the decrement bounds ||S^-1/2 dS S^-1/2||) of min tr(Q' Phi)
+    s.t. Phi >= 0, tr Phi = 1, tr(dQ_k Phi) = 0, whose equalities hold up to
+    the ball's O(tau ||y|| / phi) share, with gap s tau (n - tr(S^-1 dS)).
+    bounded is False when I is in span{dQ_k} (lam_min does not fall along a
+    whole ray; tested first, as the path's least-squares steps pass over the
+    singular Newton matrix) or when the path ends past half the ball's radius
+    (lam_min still rises to a supremum out where no data precision reaches).
+    The curvature, -log det S's Hessian in alpha at the end, is least where
+    lam_min falls slowest.
     """
     Qp = np.asarray(Q_prime, dtype=float)
     n, k = Qp.shape[0], len(kernel_basis)
     A = np.stack([np.asarray(d, dtype=float) for d in kernel_basis] + [-np.eye(n)])
+    if np.linalg.matrix_rank(np.stack([vech(a) for a in A])) <= k:
+        return _PathEnd(False, np.zeros(k), np.inf, [], np.inf, 0, None)
     scale = float(np.linalg.norm(Qp)) or 1.0
-    y = np.zeros(k + 1)
-    y[-1] = np.linalg.eigvalsh(Qp)[0] - scale
-    mu, duals = scale, []
-    for step in range(1, 501):
-        Si = np.linalg.inv(Qp + np.tensordot(y, A, 1))
-        SA = Si @ A
-        g = np.trace(SA, axis1=1, axis2=2)
-        g[-1] += 1.0 / mu
-        H = np.einsum("iab,jba->ij", SA, SA)
-        try:
-            L = np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            return _PathEnd(False, y[:-1], y[-1], duals, np.inf, step, H[:-1, :-1])
-        dy = np.linalg.solve(L.T, np.linalg.solve(L, g))
-        dec = float(np.sqrt(max(g @ dy, 0.0)))
-        if dec < 1.0:
-            dS = np.tensordot(dy, A, 1)
-            gap = mu * (n - float(np.sum(Si * dS)))
-            duals.append((gap, mu * (Si - Si @ dS @ Si)))
-            if gap <= PROP2_GAP_TOL * scale:
-                return _PathEnd(True, y[:-1], y[-1], duals, gap, step, H[:-1, :-1])
-            if dec < 0.5:
-                mu *= 0.1
-        y = y + dy / (1.0 + dec)
-        if np.linalg.norm(y[:-1]) > scale / PROP2_GAP_TOL:
-            return _PathEnd(False, y[:-1], y[-1], duals, np.inf, step, H[:-1, :-1])
-    raise SolverNotConverged("barrier path did not close the duality gap in 500 Newton steps")
+    t, H, phi = np.eye(k + 1)[-1], np.zeros((k + 1, k + 1)), 1e8
+    y0 = (np.linalg.eigvalsh(Qp / scale)[0] - 1.0) * t  # S(y0) = Q'/s + (1 - lam_min) I
+    y, _, trace, _, status, cuts = _barrier_path(
+        lambda y: (-y[-1], -t, H), y0, (Qp / scale, A, phi), PROP2_GAP_TOL, 500
+    )
+    alpha, lam, n_steps = scale * y[:-1], scale * y[-1], len(trace) - 1
+    if y @ y >= 0.25 * phi:  # at the ball the path may stall short of its gap
+        return _PathEnd(False, alpha, lam, [], np.inf, n_steps, None)
+    if status != "gap_met":
+        raise SolverNotConverged(f"barrier path stopped without closing the duality gap: {status}")
+    duals = []
+    for tau, dy, Ci in cuts:
+        Si, dS = Ci.T @ Ci, np.tensordot(dy, A, 1)
+        duals.append((scale * tau * (n - float(np.sum(Si * dS))), tau * (Si - Si @ dS @ Si)))
+    SD = Ci @ A[:-1] @ Ci.T
+    curvature = np.einsum("iab,jab->ij", SD, SD)
+    return _PathEnd(True, alpha, lam, duals, duals[-1][0], n_steps, curvature)
 
 
 def prop2_certificate(Q_prime, kernel_basis):
@@ -233,8 +223,7 @@ def prop2_certificate(Q_prime, kernel_basis):
     if not kernel_basis:
         raise DimensionMismatch("kernel_basis must be nonempty")
     Qp = np.asarray(Q_prime, dtype=float)
-    n = Qp.shape[0]
-    scale = float(np.linalg.norm(Qp)) or 1.0
+    n, scale = len(Qp), float(np.linalg.norm(Qp)) or 1.0
     end = _max_min_eig(Qp, kernel_basis)
     if not end.bounded or end.lam > psd_tol_for(Qp):
         Phi, value, rank, G2 = np.zeros((n, n)), 0.0, 0, np.eye(n)

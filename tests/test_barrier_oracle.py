@@ -1,0 +1,219 @@
+"""The shared log-barrier path against test-local copies of the two loops it
+replaced: the noisy fits' own barrier loop and the dual certificate's damped
+Newton path. Fits must agree bit for bit, certificates in their verdicts."""
+
+import numpy as np
+import pytest
+
+import ioclqr as io
+from ioclqr import baseline_rm, bench_harness, estimate_noiseless, estimate_noisy, identifiability
+from ioclqr.core_model import CostMatrix
+from ioclqr.estimate_noisy import EstimateResult, _sym_basis
+from ioclqr.identifiability import PROP2_GAP_TOL, _PathEnd
+
+
+def _barrier_reference(y, basis, phi):
+    slack = phi - float(y @ y)
+    if not slack > 0.0:
+        return None
+    try:
+        C = np.linalg.cholesky(np.tensordot(y, basis, 1))
+    except np.linalg.LinAlgError:
+        return None
+    Ci = np.linalg.inv(C)
+    S = Ci @ basis @ Ci.T
+    value = -2.0 * float(np.log(np.diag(C)).sum()) - np.log(slack)
+    grad = 2.0 * y / slack - np.trace(S, axis1=1, axis2=2)
+    hess = np.einsum("iab,jab->ij", S, S) + (2.0 / slack) * np.eye(len(y))
+    return value, grad, hess + np.outer(y, y) * (4.0 / slack**2)
+
+
+def _barrier_fit_reference(term, n, config, method, record_trace=True):
+    """The fitting core with its own loop over Q(y) >= 0 and the ball."""
+    basis, phi, nu = _sym_basis(n), config["phi"], n + 1
+    y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
+    (f, g, H), (b, gb, Hb) = term(y), _barrier_reference(y, basis, phi)
+    tau, trace, n_eval, status = max(1.0, f) / nu, [(0, f)], 1, "step_budget"
+    while True:
+        grad = g + tau * gb
+        step = -np.linalg.lstsq(H + tau * Hb, grad, rcond=None)[0]
+        slope = float(grad @ step)
+        if -slope < 0.25 * tau:
+            if nu * tau <= config["grad_tol"] * max(1.0, f):
+                status = "gap_met"
+                break
+            tau *= 0.1
+            continue
+        if len(trace) > config["max_iters"]:
+            break
+        for alpha in 0.5 ** np.arange(50):
+            trial = y + alpha * step
+            bar = _barrier_reference(trial, basis, phi)
+            if bar is not None:
+                point, n_eval = term(trial), n_eval + 1
+                if point[0] + tau * bar[0] <= f + tau * b + 0.25 * alpha * slope:
+                    break
+        else:
+            status = "line_search_failed"
+            break
+        y, (f, g, H), (b, gb, Hb) = trial, point, bar
+        trace.append((len(trace), f))
+    if status == "gap_met":
+        trial = y - np.linalg.lstsq(H, g, rcond=None)[0]
+        if _barrier_reference(trial, basis, phi) is not None:
+            point, n_eval = term(trial), n_eval + 1
+            if point[0] < f:
+                y, (f, grad, _) = trial, point
+                trace.append((len(trace), f))
+    return EstimateResult(
+        CostMatrix(np.tensordot(y, basis, 1), phi=phi),
+        objective_trace=trace if record_trace else [],
+        grad_norm_final=float(np.linalg.norm(grad, np.inf)),
+        converged=status == "gap_met",
+        n_iter=len(trace) - 1,
+        method=method,
+        config=config,
+        status=status,
+        n_eval=n_eval,
+    )
+
+
+def _max_min_eig_reference(Q_prime, kernel_basis):
+    """The certificate's own path: damped Newton steps on t/mu + log det S,
+    unbounded when the Newton matrix is singular or ||alpha|| runs past
+    ||Q'|| / PROP2_GAP_TOL."""
+    Qp = np.asarray(Q_prime, dtype=float)
+    n, k = Qp.shape[0], len(kernel_basis)
+    A = np.stack([np.asarray(d, dtype=float) for d in kernel_basis] + [-np.eye(n)])
+    scale = float(np.linalg.norm(Qp)) or 1.0
+    y = np.zeros(k + 1)
+    y[-1] = np.linalg.eigvalsh(Qp)[0] - scale
+    mu, duals = scale, []
+    for step in range(1, 501):
+        Si = np.linalg.inv(Qp + np.tensordot(y, A, 1))
+        SA = Si @ A
+        g = np.trace(SA, axis1=1, axis2=2)
+        g[-1] += 1.0 / mu
+        H = np.einsum("iab,jba->ij", SA, SA)
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            return _PathEnd(False, y[:-1], y[-1], duals, np.inf, step, H[:-1, :-1])
+        dy = np.linalg.solve(L.T, np.linalg.solve(L, g))
+        dec = float(np.sqrt(max(g @ dy, 0.0)))
+        if dec < 1.0:
+            dS = np.tensordot(dy, A, 1)
+            gap = mu * (n - float(np.sum(Si * dS)))
+            duals.append((gap, mu * (Si - Si @ dS @ Si)))
+            if gap <= PROP2_GAP_TOL * scale:
+                return _PathEnd(True, y[:-1], y[-1], duals, gap, step, H[:-1, :-1])
+            if dec < 0.5:
+                mu *= 0.1
+        y = y + dy / (1.0 + dec)
+        if np.linalg.norm(y[:-1]) > scale / PROP2_GAP_TOL:
+            return _PathEnd(False, y[:-1], y[-1], duals, np.inf, step, H[:-1, :-1])
+    raise io.SolverNotConverged("barrier path did not close the duality gap in 500 Newton steps")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _fits(sys_, noisy, **kw):
+    out = [io.estimate_rm(sys_, noisy, **kw)]
+    for mode in estimate_noisy.MODES:
+        out.append(io.estimate(io.RiskProblem(sys_, noisy, mode=mode, **kw)))
+    return out
+
+
+@pytest.mark.parametrize("M, trial, kw", [(10, 0, {}), (200, 1, {}), (10, 2, {"max_iters": 2})])
+def test_fits_are_bit_equal_to_the_reference_loop(monkeypatch, M, trial, kw):
+    cfg = io.BenchConfig(N=50, M_grid=(M,), master_seed=0)
+    sys_, cost, init_ss, noise_ss = bench_harness.sample_instance(cfg, trial)
+    exact = io.generate_bundle(sys_, cost, cfg.N, M, seed=init_ss)
+    noisy = io.add_noise(exact, cfg.snr_db_x, cfg.snr_db_u, seed=noise_ss)
+    got = _fits(sys_, noisy, **kw)
+    for mod in (estimate_noisy, baseline_rm):
+        monkeypatch.setattr(mod, "_barrier_fit", _barrier_fit_reference)
+    want = _fits(sys_, noisy, **kw)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g.Q_hat.Q), _bits(w.Q_hat.Q))
+        assert g.objective_trace == w.objective_trace
+        assert (g.n_iter, g.n_eval, g.status) == (w.n_iter, w.n_eval, w.status)
+        assert g.grad_norm_final == w.grad_norm_final
+    if kw:
+        assert {g.status for g in got} == {"step_budget"}
+
+
+def _certificate_cases(random_system, example_instance):
+    """(sys, bundle) of the worked example, the slow-sharp seeds and the
+    never-certifies sweeps of the certificate and recovery tests."""
+    yield example_instance["sys"], example_instance["bundle"]
+    for s in (0, 1, 24, 25, 40, 60, 86, 88, 107, 111, 118, 141, 169, 172, 183, 184):
+        rng = np.random.default_rng(s)
+        sys_ = random_system(rng, 3)
+        g = rng.standard_normal(3)
+        Qbar = np.outer(g, g)
+        yield sys_, io.generate_bundle(sys_, Qbar * 0.8 / np.linalg.norm(Qbar), N=6, M=1, seed=0)
+    rng = np.random.default_rng(38)
+    for _ in range(8):
+        sys_ = random_system(rng, n=2, m=1)
+        G = rng.standard_normal((2, 2))
+        Q = G @ G.T + 0.3 * np.eye(2)
+        Q *= 0.8 / np.linalg.norm(Q)
+        yield sys_, io.generate_bundle(sys_, Q, N=4, M=1, seed=int(rng.integers(1 << 30)))
+    rng = np.random.default_rng(39)
+    hit = 0
+    while hit < 10:
+        sys_ = random_system(rng, n=3, m=1)
+        G = rng.standard_normal((3, 2))
+        Q = G @ G.T
+        Q *= 0.8 / np.linalg.norm(Q)
+        N = int(rng.integers(3, 8))
+        seed = int(rng.integers(1 << 30))
+        if N >= 4:
+            hit += 1
+            yield sys_, io.generate_bundle(sys_, Q, N=N, M=1, seed=seed)
+
+
+def _path_or_error(q_prime, kernel):
+    try:
+        return identifiability._max_min_eig(q_prime, kernel)
+    except io.SolverNotConverged as e:
+        return e
+
+
+def test_certificates_match_the_reference_path(monkeypatch, random_system, example_instance):
+    n_dual = n_bounded = 0
+    for sys_, bundle in _certificate_cases(random_system, example_instance):
+        got = io.assess(sys_, bundle)
+        if got.kernel_dim == 0 or got.q_prime is None:
+            continue
+        end = _path_or_error(got.q_prime, got.kernel_basis)
+        with monkeypatch.context() as m:
+            m.setattr(identifiability, "_max_min_eig", _max_min_eig_reference)
+            want = io.assess(sys_, bundle)
+            ref = _path_or_error(want.q_prime, want.kernel_basis)
+        assert got.verdict == want.verdict
+        assert (got.prop2 is None) == (want.prop2 is None)
+        if got.prop2 is not None:
+            assert got.prop2.rank_Phi == want.prop2.rank_Phi
+            assert got.prop2.intersection_trivial == want.prop2.intersection_trivial
+        assert type(end) is type(ref)
+        if isinstance(end, _PathEnd):
+            assert end.bounded == ref.bounded
+        if isinstance(end, _PathEnd) and end.bounded:
+            assert abs(end.lam - ref.lam) <= 1e-9 * np.linalg.norm(got.q_prime)
+            n_bounded += 1
+        n_dual += got.verdict == "unique_by_dual"
+    assert n_dual == 17  # the worked example and the 16 slow-sharp seeds
+    assert n_bounded >= n_dual
+
+
+def test_worked_example_recovers_the_reference_cost(monkeypatch, example_instance):
+    sys_, bundle = example_instance["sys"], example_instance["bundle"]
+    report = io.assess(sys_, bundle)
+    got = io.recover_with_kernel(sys_, bundle, report)
+    monkeypatch.setattr(estimate_noiseless, "_max_min_eig", _max_min_eig_reference)
+    want = io.recover_with_kernel(sys_, bundle, report)
+    assert np.abs(got.Q - want.Q).max() <= 1e-9

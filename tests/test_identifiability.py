@@ -204,14 +204,29 @@ class TestProp2Certificate:
 
     def test_unbounded_family_writes_no_gap(self):
         # a PSD kernel direction leaves the path without a finite duality gap;
-        # the report JSON writes null there rather than a non-standard Infinity
-        rec = io.prop2_certificate(np.eye(2), [np.eye(2) / np.sqrt(2.0)])
+        # the report JSON writes null there rather than a non-standard Infinity.
+        # In the second basis I is a combination of the directions, though
+        # neither direction is proportional to I
+        D = np.diag([1.0, -1.0]) / np.sqrt(2.0)
+        I2 = np.eye(2) / np.sqrt(2.0)
+        for basis in ([I2], [(I2 + D) / np.sqrt(2.0), (I2 - D) / np.sqrt(2.0)]):
+            rec = io.prop2_certificate(np.eye(2), basis)
+            assert rec.gap == np.inf
+            report = io.IdentifiabilityReport(
+                rank_AD=3 - len(basis), full_column_rank=False, kernel_basis=basis,
+                thm3_holds=None, prop2=rec, verdict="not_determined",
+            )
+            assert report.to_json()["prop2"]["gap"] is None
+
+    @pytest.mark.parametrize("Qp", [[[0, 0.1], [0.1, 0]], [[0, 1e-3], [1e-3, 0]], [[0, 1], [1, 1]]])
+    def test_asymptotic_ray_certifies_nothing(self, Qp):
+        # lam_min(Q' + alpha e11) rises toward its supremum as alpha grows but
+        # never attains it: no finite maximizer, so no gap and no certificate
+        e11 = np.diag([1.0, 0.0])
+        rec = io.prop2_certificate(np.array(Qp, dtype=float), [e11])
+        assert rec.rank_Phi == 0
+        assert not rec.intersection_trivial
         assert rec.gap == np.inf
-        report = io.IdentifiabilityReport(
-            rank_AD=2, full_column_rank=False, kernel_basis=[np.eye(2) / np.sqrt(2.0)],
-            thm3_holds=None, prop2=rec, verdict="not_determined",
-        )
-        assert report.to_json()["prop2"]["gap"] is None
 
     def test_dual_value_matches_grid_search(self):
         # boundary objective diag(1, 0) with an off-diagonal constraint: the

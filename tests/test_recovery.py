@@ -167,6 +167,22 @@ class TestKernelRecovery:
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
 
+    @pytest.mark.parametrize("Qp", [[[0, 0.1], [0.1, 0]], [[0, 1e-3], [1e-3, 0]], [[0, 1], [1, 1]]])
+    def test_asymptotic_ray_is_flagged(self, rich_instance, Qp):
+        # lam_min(Q' + alpha e11) approaches its supremum only as alpha grows
+        # without bound, so a (forged) uniqueness verdict has no point to return
+        forged = io.IdentifiabilityReport(
+            rank_AD=2,
+            full_column_rank=False,
+            kernel_basis=[np.diag([1.0, 0.0])],
+            thm3_holds=None,
+            prop2=None,
+            verdict="unique_by_dual",
+            q_prime=np.array(Qp, dtype=float),
+        )
+        with pytest.raises(io.AmbiguousSolution):
+            io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
+
     def test_interior_ball_is_flagged(self, rich_instance):
         # two kernel directions and a PD point: a whole ellipsoid of alphas
         # is feasible, again contradicting a uniqueness verdict
