@@ -13,11 +13,13 @@ import hashlib
 import io
 import json
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 
 from .baseline_rm import estimate_rm
@@ -304,6 +306,24 @@ def default_workers():
     return min(os.cpu_count() or 1, 4)
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def numeric_environment():
+    """What the results and timings depend on besides the config: the
+    Python, numpy and scipy versions, the BLAS numpy was built against and
+    the thread-count variables that are set."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {v: os.environ[v] for v in THREAD_VARS if v in os.environ},
+    }
+
+
 def run_benchmark(config, out_dir=None, n_workers=None):
     """Run every trial, write trials/summary/timings CSVs, return the records.
 
@@ -338,7 +358,10 @@ def run_benchmark(config, out_dir=None, n_workers=None):
             "phi": config.phi,
             "dt": config.dt,
             "master_seed": config.master_seed,
+            "environment": numeric_environment(),
         }
+        if config.system is not None:
+            cfg_doc["system"] = {"A": config.system.A.tolist(), "B": config.system.B.tolist()}
         with open(os.path.join(out_dir, "config.json"), "w") as fh:
             json.dump(cfg_doc, fh, indent=1)
             fh.write("\n")

@@ -141,6 +141,14 @@ class LtiSystem:
     def __repr__(self):
         return f"LtiSystem(n={self.n}, m={self.m})"
 
+    def __eq__(self, other):
+        if not isinstance(other, LtiSystem):
+            return NotImplemented
+        return np.array_equal(self.A, other.A) and np.array_equal(self.B, other.B)
+
+    def __hash__(self):  # A and B are read-only
+        return hash((self.A.shape, self.A.tobytes(), self.B.tobytes()))
+
 
 class CostMatrix:
     """Symmetric PSD state-cost matrix inside the Frobenius ball ||Q||_F^2 <= phi.

@@ -4,9 +4,12 @@ The predicted trajectory for a candidate Q is the solution of the stacked
 boundary-value system F(Q) Z = A_tilde x_bar; the empirical risk is the mean
 squared discrepancy between predictions and observations, in either states
 (state_obs) or inputs (input_obs). Each evaluation factors F(Q) once in band
-storage (`forward_lqr.BandedPmp`) and solves it for all episodes at once,
-then once more for the trajectories' sensitivities to Q (the risk's gradient
-and Gauss-Newton matrix): O(N n^3) time, memory linear in N. The dense
+storage (`forward_lqr.BandedPmp`) and solves it for the response to the n
+unit initial states, then for that response's sensitivities to Q (the
+risk's gradient and Gauss-Newton matrix): n (k + 1) right-hand sides,
+k = n (n + 1) / 2, whatever the number of episodes M. The episodes enter
+through the residuals and the Gram matrix of their initial states, O(N n M)
+work. O(N n^3) time besides, memory linear in N. The dense
 `build_pmp_system` stays as the tests' oracle. The fitting core, shared with
 the residual-minimization baseline (only the data term f differs), follows
 a log-barrier path for f(Q) - tau (log det Q + log(phi - ||Q||_F^2)), so
@@ -51,8 +54,9 @@ class RiskProblem:
     def observations(self):
         """Observation matrix, one column per episode: x_2..x_N (state_obs)
         or u_1..u_{N-1} (input_obs), stacked."""
-        Y = _observed(self)
-        return Y.reshape(-1, Y.shape[2])
+        b = self.bundle
+        Y = b.X[:, :, 1:] if self.mode == "state_obs" else b.U
+        return Y.transpose(2, 1, 0).reshape(-1, b.M)
 
 
 @dataclass
@@ -110,36 +114,42 @@ def _sym_basis(n):
     return E
 
 
-def _observed(problem):
-    """The observations, (N-1) x k x M: x_2..x_N or u_1..u_{N-1}."""
-    b = problem.bundle
-    return (b.X[:, :, 1:] if problem.mode == "state_obs" else b.U).transpose(2, 1, 0).copy()
-
-
 def _stacked(problem, band=None):
-    """A x_1, `_observed` and `band` (a fit's shared `pmp_band`, or None)."""
-    return problem.sys.A @ problem.bundle.initial_states(), _observed(problem), band
+    """The initial states X0 (n x M), their Gram matrix X0 X0', the
+    observations (`RiskProblem.observations`) and `band` (a fit's shared
+    `pmp_band`, or None)."""
+    X0 = problem.bundle.initial_states()
+    return X0, X0 @ X0.T, problem.observations(), band
 
 
 def _risk_pieces(problem, Qm, want_gn, data):
     """Shared evaluation: risk value, per-episode terms and (optionally) the
     gradient and Gauss-Newton matrix in `_sym_basis` coordinates, all from
-    one band factorization of F(Q). `data` is `_stacked(problem)`."""
-    AX0, Y, band = data
-    B = problem.sys.B
+    one band factorization of F(Q). `data` is `_stacked(problem)`.
+
+    Predictions and their sensitivities are linear in the initial state, so
+    F(Q) is solved for the response S to the n unit initial states and for
+    S's sensitivities T_j; episode e then predicts P S x0_e with Jacobian
+    columns P T_j x0_e, P picking the observed rows. The episodes enter only
+    through the residuals R = P S X0 - Y and the Gram matrix G = X0 X0'."""
+    X0, G, Y, band = data
+    B, n = problem.sys.B, len(Qm)
     state_obs = problem.mode == "state_obs"
     pmp = BandedPmp(problem.sys, Qm, problem.bundle.N, band)
-    x, lam = pmp.solve(AX0)
-    R = (x if state_obs else -(B.T @ lam)) - Y  # u_t = -B' lambda_{t+1}
-    per_episode = np.sum(R * R, axis=(0, 1))
+    x, lam = pmp.solve(problem.sys.A)
+    PS = x if state_obs else -(B.T @ lam)  # u_t = -B' lambda_{t+1}
+    R = PS.reshape(-1, n) @ X0
+    R -= Y
+    per_episode = np.einsum("im,im->m", R, R)
     value = float(per_episode.mean())
     if not want_gn:
         return value, per_episode, None, None
-    dx, dlam = pmp.q_sensitivities(x, _sym_basis(len(Qm)))
-    J = dx if state_obs else -np.einsum("ia,krim->kram", B, dlam)
-    J = J.reshape(len(J), -1)  # residual Jacobian, one row per coordinate
-    scale = 2.0 / AX0.shape[1]
-    return value, per_episode, scale * (J @ R.ravel()), scale * (J @ J.T)
+    dx, dlam = pmp.q_sensitivities(x, _sym_basis(n))
+    J = (dx if state_obs else -(B.T @ dlam)).reshape(len(dx), -1)  # row j: P T_j
+    scale = 2.0 / X0.shape[1]
+    grad = J @ (R @ X0.T).ravel()
+    gn = (J.reshape(-1, n) @ G).reshape(J.shape) @ J.T
+    return value, per_episode, scale * grad, scale * 0.5 * (gn + gn.T)
 
 
 def eval_risk(problem, Q):

@@ -285,7 +285,8 @@ class BandedPmp:
         F(Q) dZ_j = -(dF/dQ . E_j) Z, and Q enters F only in the costate rows
         lambda_t = Q x_t + A' lambda_{t+1}, t = 2..N-1; in the band order the
         row of block row r = t - 1 starts at n + 2n(r-1) + n = 2n r. One solve
-        takes all k M right-hand sides.
+        takes all k M right-hand sides; the risk passes the response to the
+        n unit initial states, so M = n there, k n columns whatever the data.
         """
         n, nb = self.n, self.nb
         rhs = np.zeros((nb, 2 * n, len(basis), x.shape[2]))

@@ -228,6 +228,35 @@ class TestRunBenchmark:
         back = bh.BenchConfig.from_json(doc)
         assert back == cfg
 
+    def test_config_roundtrip_fixed_system(self, tmp_path):
+        sys, _, _, _ = bh.sample_instance(bh.BenchConfig(master_seed=5), 0)
+        cfg = bh.BenchConfig(n_trials=1, N=6, M_grid=(3,), master_seed=5, system=sys)
+        bh.run_benchmark(cfg, out_dir=tmp_path, n_workers=1)
+        with open(tmp_path / "config.json") as fh:
+            doc = json.load(fh)
+        back = bh.BenchConfig.from_json(doc)
+        assert back == cfg
+        assert back.system is not sys
+        assert back != bh.BenchConfig(n_trials=1, N=6, M_grid=(3,), master_seed=5)
+
+    def test_config_records_environment(self, smoke_run, monkeypatch):
+        import platform
+
+        import scipy
+
+        _, out, _, _ = smoke_run
+        with open(out / "config.json") as fh:
+            env = json.load(fh)["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
+        assert (env["python"], env["numpy"], env["scipy"]) == (
+            platform.python_version(), np.__version__, scipy.__version__
+        )
+        assert set(env["blas"]) == {"name", "version"} and env["blas"]["name"]
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        threads = bh.numeric_environment()["threads"]
+        assert threads["OMP_NUM_THREADS"] == "3" and "MKL_NUM_THREADS" not in threads
+
 
 class TestFailureHandling:
     def test_estimator_exception_recorded(self, tmp_path, monkeypatch):

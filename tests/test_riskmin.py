@@ -446,3 +446,86 @@ def test_every_acceptance_fit_converges_strictly_inside():
     for c in cells.values():
         assert np.linalg.eigvalsh(c["Q_hat"])[0] > 0.0
         assert np.sum(c["Q_hat"] ** 2) < cfg.phi
+
+
+def _per_episode_pieces(problem, Q):
+    """The risk's pieces as evaluated before they were taken from the
+    response to the unit initial states: every episode solved, its
+    sensitivities to Q solved, and the residual Jacobian formed whole."""
+    b, sys = problem.bundle, problem.sys
+    state_obs = problem.mode == "state_obs"
+    Y = (b.X[:, :, 1:] if state_obs else b.U).transpose(2, 1, 0).copy()
+    AX0 = sys.A @ b.initial_states()
+    pmp = forward_lqr.BandedPmp(sys, Q, b.N)
+    x, lam = pmp.solve(AX0)
+    R = (x if state_obs else -(sys.B.T @ lam)) - Y
+    per_episode = np.sum(R * R, axis=(0, 1))
+    dx, dlam = pmp.q_sensitivities(x, estimate_noisy._sym_basis(len(Q)))
+    J = dx if state_obs else -np.einsum("ia,krim->kram", sys.B, dlam)
+    J = J.reshape(len(J), -1)
+    scale = 2.0 / AX0.shape[1]
+    return per_episode.mean(), per_episode, scale * (J @ R.ravel()), scale * (J @ J.T)
+
+
+@pytest.mark.parametrize(
+    "n,m,N,M",
+    [(1, 1, 3, 1), (2, 1, 3, 4), (2, 1, 50, 1), (2, 1, 50, 10), (2, 1, 400, 10),
+     (2, 2, 20, 200), (3, 1, 12, 2), (3, 2, 3, 5), (4, 2, 20, 7)],
+)
+def test_unit_response_matches_per_episode_oracle(n, m, N, M):
+    # M = 1 and M = 2 < n = 3 leave X0 X0' singular; N = 3 has one Q row
+    sys, noisy, Q = _band_case(600 + 10 * n + N + M, n, m, N, M)
+    for mode in estimate_noisy.MODES:
+        prob = io.RiskProblem(sys, noisy, mode=mode)
+        value, per, grad, gn = estimate_noisy._risk_pieces(
+            prob, Q, True, estimate_noisy._stacked(prob)
+        )
+        want = _per_episode_pieces(prob, Q)
+        assert value == pytest.approx(want[0], rel=1e-12)
+        np.testing.assert_allclose(per, want[1], rtol=1e-12)
+        for got, ref in ((grad, want[2]), (gn, want[3])):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        only = estimate_noisy._risk_pieces(prob, Q, False, estimate_noisy._stacked(prob))
+        assert only[0] == value and np.array_equal(only[1], per)
+
+
+@pytest.mark.parametrize("M", [1, 10, 200])
+def test_one_evaluation_solves_n_columns(monkeypatch, M):
+    # the band solves see the n unit initial states, never the M episodes
+    sys, noisy, Q = _band_case(700 + M, 2, 1, 30, M)
+    widths = {"solve": [], "q_sensitivities": []}
+
+    def spying(name):
+        method = getattr(forward_lqr.BandedPmp, name)
+
+        def wrapped(self, arg, *rest):
+            widths[name].append(arg.shape[-1])
+            return method(self, arg, *rest)
+
+        return wrapped
+
+    for name in widths:
+        monkeypatch.setattr(forward_lqr.BandedPmp, name, spying(name))
+    for mode in estimate_noisy.MODES:
+        prob = io.RiskProblem(sys, noisy, mode=mode)
+        io.risk_gradient(prob, Q)
+        estimate_noisy.penalized_objective(prob)(np.ones(3))
+        io.eval_risk(prob, Q)
+    assert widths == {"solve": [2] * 6, "q_sensitivities": [2] * 4}
+
+
+def test_gradient_memory_independent_of_episode_count():
+    # one risk_gradient's peak stays within a few copies of the data itself:
+    # no array scales with M times the horizon times n(n+1)/2
+    import tracemalloc
+
+    sys, noisy, Q = _band_case(82, 2, 1, 50, M=2000)
+    prob = io.RiskProblem(sys, noisy)
+    io.risk_gradient(prob, Q)  # warm-up: imports and caches stay out
+    tracemalloc.start()
+    try:
+        io.risk_gradient(prob, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (noisy.X.nbytes + noisy.U.nbytes)
