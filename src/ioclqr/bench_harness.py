@@ -11,7 +11,6 @@ times go to a separate file so the result CSVs are byte-stable.
 import csv
 import hashlib
 import io
-import json
 import os
 import platform
 import time
@@ -23,7 +22,7 @@ import scipy
 import scipy.linalg as sla
 
 from .baseline_rm import estimate_rm
-from .core_model import CostMatrix, FLOAT_FMT, LtiSystem
+from .core_model import CostMatrix, FLOAT_FMT, LtiSystem, write_json
 from .errors import InvalidSystem, ParseError, RejectionBudgetExceeded
 from .estimate_noisy import RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
@@ -61,6 +60,11 @@ class BenchConfig:
                 raise ValueError(f"{name} must be a finite {'positive ' * positive}real, got {value!r}")
         if not self.M_grid:
             raise ValueError("M_grid must be nonempty")
+        for m in self.M_grid:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+                raise ValueError(f"M_grid entries must be integers >= 1, got {m!r}")
+        if len(set(self.M_grid)) < len(self.M_grid):
+            raise ValueError(f"M_grid repeats an entry: {list(self.M_grid)!r}")
         self.M_grid = tuple(sorted(int(m) for m in self.M_grid))
 
     @classmethod
@@ -362,7 +366,5 @@ def run_benchmark(config, out_dir=None, n_workers=None):
         }
         if config.system is not None:
             cfg_doc["system"] = {"A": config.system.A.tolist(), "B": config.system.B.tolist()}
-        with open(os.path.join(out_dir, "config.json"), "w") as fh:
-            json.dump(cfg_doc, fh, indent=1)
-            fh.write("\n")
+        write_json(cfg_doc, os.path.join(out_dir, "config.json"))
     return records, summary_rows

@@ -9,7 +9,6 @@ methods), and bench (Monte-Carlo consistency study). Exit codes: 0 success,
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -23,6 +22,7 @@ from .core_model import (
     load_system,
     read_json,
     save_bundle,
+    write_json,
 )
 from .errors import IocError, SolverNotConverged
 from .estimate_noiseless import recover_exact
@@ -67,12 +67,6 @@ def _glue_x0(argv):
     return out
 
 
-def _write_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def cmd_forward(args):
     sys_ = load_system(args.system)
     cost = load_cost(args.cost)
@@ -108,7 +102,7 @@ def cmd_identify(args):
     sys_ = load_system(args.system)
     bundle = load_bundle(args.bundle)
     report = assess(sys_, bundle)
-    _write_json(report.to_json(), args.out)
+    write_json(report.to_json(), args.out)
     print(f"verdict: {report.verdict} (rank {report.rank_AD}, kernel dim {report.kernel_dim})")
 
 
@@ -133,7 +127,7 @@ def cmd_estimate(args):
             f"{result.method} stopped without meeting tolerances: {result.status} "
             f"after {result.n_iter} steps (final grad norm {result.grad_norm_final:.2e})"
         )
-    _write_json(result.to_json(), args.out)
+    write_json(result.to_json(), args.out)
     print(f"wrote {args.out} (method={result.method}, converged={result.converged})")
 
 

@@ -42,6 +42,13 @@ def rank_tol(singular_values, shape):
     return max(shape) * float(singular_values[0]) * 1e-12
 
 
+def numerical_rank(Mtx):
+    """Count of Mtx's singular values above rank_tol."""
+    Mtx = np.asarray(Mtx, dtype=float)
+    sv = np.linalg.svd(Mtx, compute_uv=False)
+    return int((sv > rank_tol(sv, Mtx.shape)).sum())
+
+
 def vec(Mtx):
     """Column-major vectorization of a p x q matrix."""
     return np.asarray(Mtx, dtype=float).flatten(order="F")
@@ -121,15 +128,12 @@ class LtiSystem:
         if B.shape[0] != A.shape[0]:
             raise DimensionMismatch(f"B rows {B.shape[0]} != n {A.shape[0]}")
         n, m = B.shape
-        sv_a = np.linalg.svd(A, compute_uv=False)
-        if sv_a[-1] <= rank_tol(sv_a, A.shape):
+        if numerical_rank(A) < n:
             raise InvalidSystem("not_invertible", "A is singular to working precision")
-        sv_b = np.linalg.svd(B, compute_uv=False)
-        if len(sv_b) < m or sv_b[-1] <= rank_tol(sv_b, B.shape):
+        if numerical_rank(B) < m:
             raise InvalidSystem("rank_deficient_B", "B does not have full column rank")
         ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
-        sv_c = np.linalg.svd(ctrb, compute_uv=False)
-        if int((sv_c > rank_tol(sv_c, ctrb.shape)).sum()) < n:
+        if numerical_rank(ctrb) < n:
             raise InvalidSystem("uncontrollable", "(A, B) is not controllable")
         A.setflags(write=False)
         B.setflags(write=False)
@@ -292,6 +296,11 @@ def _matrix_out(Mtx):
 
 def save_system(sys, path):
     doc = {"n": sys.n, "m": sys.m, "A": _matrix_out(sys.A), "B": _matrix_out(sys.B)}
+    write_json(doc, path)
+
+
+def write_json(doc, path):
+    """Write doc to path as JSON with a one-space indent and a final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -328,9 +337,7 @@ def save_cost(cost, path):
     # a few decimals sit slightly outside the cone); default stays implicit
     if cost.psd_tol != psd_tol_for(cost.Q):
         doc["psd_tol"] = float(_fmt(cost.psd_tol))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_cost(path, psd_tol=None):

@@ -10,6 +10,7 @@ dual certificate's run of the noisy fits' log-barrier path.
 import warnings
 
 import numpy as np
+import scipy.linalg as sla
 
 from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
 from .errors import (
@@ -50,7 +51,8 @@ def _fitted_solution(report):
 
 def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
     """Least-squares recovery of Q; delegates to the kernel search when the
-    identifiability verdict rests on the dual certificate.
+    identifiability verdict rests on the dual certificate and the data matrix
+    has a kernel (without one the least-squares solution is unique).
 
     Raises NotIdentifiable when the verdict is not_determined,
     ResidualTooLarge when no Q with unit input cost explains the data, and
@@ -61,37 +63,29 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
         report = assess(sys, bundle)
     if report.verdict == "not_determined":
         raise NotIdentifiable("identifiability verdict is not_determined")
-    if report.verdict == "unique_by_dual":
+    if report.verdict == "unique_by_dual" and report.kernel_dim:
         return recover_with_kernel(sys, bundle, report, phi=phi)
     Qm = _fitted_solution(report)
     Qm = _clamp_tiny_negatives(Qm, psd_tol_for(Qm))
     return CostMatrix(Qm, phi=phi)
 
 
-def _interval_width_at(f, alpha_star, level, span=1e3):
-    """Width of {alpha : f(alpha) >= level} around the maximizer (f concave)."""
+def _feasible_width(Q_star, E, level, span=1e3):
+    """Width of {s : Q* + level I + s E >= 0}, each side capped at span.
 
-    def crossing(sign):
-        lo, hi = 0.0, 1e-6
-        while (f_hi := f(alpha_star + sign * hi)) >= level:
-            hi *= 2.0
-            if hi > span:
-                return span
-        # no later step moves a bound once they are adjacent doubles, nor lo
-        # off 0 once f, concave, is below the chord through mid and hi = 2 mid
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if (f_mid := f(alpha_star + sign * mid)) >= level:
-                lo = mid
-            elif lo == 0.0 and 2.0 * f_mid - f_hi < level:
-                break
-            else:
-                hi, f_hi = mid, f_mid
-        return lo
-
-    return crossing(1.0) + crossing(-1.0)
+    The set is an interval whose ends are -1/mu for the extreme generalized
+    eigenvalues mu of (E, Q* + level I) (the LMI step length, Vandenberghe &
+    Boyd, SIAM Review 1996); it is empty when Q* + level I is not positive
+    definite. The cap keeps an unbounded side finite, so that the two-level
+    comparison in recover_with_kernel still reads it as wide.
+    """
+    try:
+        mu = sla.eigh(E, Q_star + level * np.eye(len(Q_star)), eigvals_only=True)
+    except np.linalg.LinAlgError:
+        return 0.0
+    up = -1.0 / mu[0] if mu[0] < 0 else span
+    down = 1.0 / mu[-1] if mu[-1] > 0 else span
+    return min(up, span) + min(down, span)
 
 
 def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
@@ -112,9 +106,7 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     if not end.bounded:
         raise AmbiguousSolution("lam_min keeps its maximum along a ray or a segment of alphas")
 
-    def f(alpha):
-        return float(np.linalg.eigvalsh(q_prime + np.tensordot(alpha, kernel, 1))[0])
-
+    Q_star = q_prime + np.tensordot(end.alpha, kernel, 1)
     # alpha is feasible when Q(alpha) is PSD within amb_tol; the certificate
     # promises one such point. Data rounding may push the whole set slightly
     # below exact PSD-ness (empty at this level); the maximizer is still
@@ -122,22 +114,21 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     amb_tol = 1e-8 * max(1.0, float(np.linalg.norm(q_prime)))
     # widths are measured along the eigenvectors of the path's end curvature
     # (`_max_min_eig`): a feasible segment through alpha* lies along its flattest
-    # direction, oblique to the kernel coordinates or not. A 100-fold tighter
-    # level shrinks the width 100-fold where lam_min falls off linearly (a
-    # sharp maximum), 10-fold where it falls off quadratically, not at all
-    # along a flat segment; only the sharp maximum passes
+    # direction, oblique to the kernel coordinates or not. Each width is read
+    # off one generalized eigenproblem (`_feasible_width`), so the barrier
+    # path is nearly all of a recovery's cost. A 100-fold tighter level
+    # shrinks the width 100-fold where lam_min falls off linearly (a sharp
+    # maximum), 10-fold where it falls off quadratically, not at all along a
+    # flat segment; only the sharp maximum passes
     for k, e in enumerate(np.linalg.eigh(end.curvature)[1].T):
-        wide, tight = (
-            _interval_width_at(lambda s: f(end.alpha + s * e), 0.0, -level)
-            for level in (amb_tol, 0.01 * amb_tol)
-        )
+        E = np.tensordot(e, kernel, 1)
+        wide, tight = (_feasible_width(Q_star, E, level) for level in (amb_tol, 0.01 * amb_tol))
         if wide > 1e-6 and tight > wide / 30.0:
             raise AmbiguousSolution(
                 f"feasible alphas spread over {wide:.3e} (> 1e-6) along curvature direction {k}, "
                 f"{tight:.3e} at a 100-fold tighter level"
             )
-    Qm = q_prime + np.tensordot(end.alpha, kernel, 1)
-    Qm = 0.5 * (Qm + Qm.T)
+    Qm = 0.5 * (Q_star + Q_star.T)
     # the achieved max lam_min certifies how PSD this data can get; accept it
     tol = max(psd_tol_for(Qm), 1.5 * abs(min(end.lam, 0.0)))
     return CostMatrix(Qm, phi=phi, psd_tol=tol)

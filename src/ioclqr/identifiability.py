@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core_model import duplication_map, psd_tol_for, rank_tol, unvech, vech
+from .core_model import duplication_map, numerical_rank, psd_tol_for, rank_tol, unvech, vech
 from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
 from .estimate_noisy import _barrier_path
 
@@ -155,9 +155,7 @@ def check_thm3(bundle):
     n, N, M = bundle.n, bundle.N, bundle.M
     if N < n + 2 or M < n:
         raise HypothesisUnmet(f"need N >= n+2 and M >= n, got N={N}, M={M}, n={n}")
-    X = bundle.X[:, :, N - 2]  # M x n
-    sv = np.linalg.svd(X, compute_uv=False)
-    return int((sv > rank_tol(sv, X.shape)).sum()) == n
+    return numerical_rank(bundle.X[:, :, N - 2]) == n
 
 
 def _max_min_eig(Q_prime, kernel_basis):
@@ -246,9 +244,8 @@ def prop2_certificate(Q_prime, kernel_basis):
         r = n - rank
         basis = [G2 @ unvech(e, r) @ G2.T for e in np.eye(r * (r + 1) // 2)]
         cols = np.stack([vech(Bm) for Bm in basis] + [vech(d) for d in kernel_basis]).T
-        sv = np.linalg.svd(cols, compute_uv=False)
         # full column rank means beta = W = 0 is the only intersection
-        trivial = bool(sv[-1] > rank_tol(sv, cols.shape)) and cols.shape[1] <= cols.shape[0]
+        trivial = numerical_rank(cols) == cols.shape[1]
     viol = np.array([np.sum(d * Phi) for d in kernel_basis])
     return Prop2Record(
         Phi_star=Phi,

@@ -292,5 +292,12 @@ class TestFailureHandling:
             bh.BenchConfig(phi=float("nan"))
         with pytest.raises(ValueError):
             bh.BenchConfig(master_seed=True)
+        # M_grid entries are checked like the other integer fields, not truncated
+        for grid in ((10.7, 20), ("10", True), (0, -3), (10, 10), (2.9,), "10"):
+            with pytest.raises(ValueError):
+                bh.BenchConfig(M_grid=grid)
+        with pytest.raises(io.ParseError):
+            bh.BenchConfig.from_json({"M_grid": [2.9]})
+        assert bh.BenchConfig(M_grid=(np.int64(20), 10)).M_grid == (10, 20)
         # a null SNR leaves that component noise-free, as in add_noise
         assert bh.BenchConfig(snr_db_x=None).snr_db_x is None

@@ -1,5 +1,6 @@
 """Noiseless recovery: the linear solve, the kernel search, and error paths."""
 
+import dataclasses
 from sys import modules
 
 import numpy as np
@@ -136,6 +137,17 @@ class TestKernelRecovery:
         Q = io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], report)
         assert np.linalg.norm(Q.Q - rich_instance["Qbar"]) < 1e-6
 
+    def test_dual_verdict_without_kernel_is_least_squares(self, rich_instance):
+        # with an empty kernel there is nothing to search: both entry points
+        # return the unique least-squares solution rather than handing the
+        # report back and forth
+        report = io.assess(rich_instance["sys"], rich_instance["bundle"])
+        forged = dataclasses.replace(report, verdict="unique_by_dual")
+        assert forged.kernel_dim == 0
+        for recover in (io.recover_exact, io.recover_with_kernel):
+            Q = recover(rich_instance["sys"], rich_instance["bundle"], report=forged)
+            assert np.linalg.norm(Q.Q - rich_instance["Qbar"]) < 1e-6
+
     def test_requires_dual_verdict(self, rich_instance):
         report = io.assess(rich_instance["sys"], rich_instance["bundle"])
         forged = io.IdentifiabilityReport(
@@ -262,32 +274,31 @@ def _interval_width_200(f, alpha_star, level, span=1e3):
     return crossing(1.0) + crossing(-1.0)
 
 
-def test_width_search_stops_at_adjacent_doubles(monkeypatch, example_instance, rich_instance):
-    # the widths stay bit for bit those of 200 halvings, at no more than 80
-    # evaluations per crossing (doubling and bisection together)
-    width_at = estimate_noiseless._interval_width_at
-    evals = []
+def test_widths_match_a_bisection_oracle(monkeypatch, example_instance, rich_instance, random_system):
+    # every width read off the generalized eigenproblem agrees with 200
+    # halvings on lam_min along the same line, at both levels and along each
+    # curvature direction the recovery checks
+    width = estimate_noiseless._feasible_width
+    seen = []
 
-    def checked(f, alpha_star, level, span=1e3):
-        steps = []
-
-        def counted(alpha):
-            steps.append(alpha - alpha_star)
-            return f(alpha)
-
-        got = width_at(counted, alpha_star, level, span)
-        assert got.hex() == _interval_width_200(f, alpha_star, level, span).hex()
-        evals.append((sum(s >= 0 for s in steps), sum(s <= 0 for s in steps)))
+    def checked(Q_star, E, level, span=1e3):
+        got = width(Q_star, E, level, span)
+        want = _interval_width_200(
+            lambda s: np.linalg.eigvalsh(Q_star + s * E)[0], 0.0, -level, span
+        )
+        assert abs(got - want) <= 1e-5 * want
+        seen.append(got)
         return got
 
-    monkeypatch.setattr(estimate_noiseless, "_interval_width_at", checked)
+    monkeypatch.setattr(estimate_noiseless, "_feasible_width", checked)
     cases = TestKernelRecovery()
     cases.test_worked_instance(example_instance)
-    cases.test_flat_face_is_flagged(rich_instance)
+    cases.test_slow_sharp_maximum_is_not_flagged(random_system)
     cases.test_interior_ball_is_flagged(rich_instance)
     for rotate in (False, True):
         cases.test_oblique_segment_is_flagged(rich_instance, rotate)
-    assert len(evals) >= 6 and max(max(e) for e in evals) <= 80
+    # 2 levels x (1 + 16 x 2 directions, then at least one per flagged family)
+    assert len(seen) >= 2 * (1 + 32 + 3) and sum(w > 1e-6 for w in seen) >= 16
 
 
 class TestNoRebuild:
