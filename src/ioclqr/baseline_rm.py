@@ -15,6 +15,7 @@ import scipy.linalg as sla
 from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, vech
 from .errors import DimensionMismatch
 from .estimate_noisy import EstimateResult, _barrier_fit, _check_horizon, _fit_config, _sym_basis
+from .forward_lqr import _times
 
 
 def _reduced_quadratic(sys, bundle):
@@ -44,7 +45,7 @@ def _reduced_quadratic(sys, bundle):
     # block k of H'C is C_adj[k] - A C_adj[k-1] + B C_u[k], all episodes at once
     BU = np.einsum("ij,mjt->tim", B, bundle.U[:, :, :K])
     HtC = np.concatenate([S, BU[..., None]], axis=-1)
-    HtC[1:, ..., :nv] -= np.einsum("ij,tjmv->timv", A, S[:-1])
+    HtC[1:, ..., :nv] -= _times(A, S[:-1].swapaxes(0, 1)).swapaxes(0, 1)
     Y = sla.cho_solve_banded((cb, False), HtC.reshape(K * n, -1))
     HtC, Y, Sf = HtC.reshape(-1, nv + 1), Y.reshape(-1, nv + 1), S.reshape(-1, nv)
     G = sla.block_diag(Sf.T @ Sf, np.sum(bundle.U**2)) - HtC.T @ Y

@@ -16,12 +16,16 @@ a log-barrier path for f(Q) - tau (log det Q + log(phi - ||Q||_F^2)), so
 every iterate is strictly inside {Q >= 0, ||Q||_F^2 <= phi} and nothing is
 projected afterwards. The path (`_barrier_path`) takes any affine LMI
 S0 + sum_k y_k A_k >= 0 in a ball; `identifiability`'s certificate uses it.
+Its small dense operations are single LAPACK calls (dpotrf, dgesv, dgelsd)
+or plain products, each chosen to give the bits of the numpy routine it
+stands for without that routine's Python-level wrapper.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core_model import CostMatrix, DEFAULT_PHI, as_q, unvech
 from .errors import DimensionMismatch
@@ -209,7 +213,8 @@ def penalized_objective(problem):
     basis = _sym_basis(problem.sys.n)
 
     def risk(y):
-        value, _, grad, gn = _risk_pieces(problem, np.tensordot(y, basis, 1), True, data)
+        Q = (y @ basis.reshape(len(y), -1)).reshape(basis.shape[1:])
+        value, _, grad, gn = _risk_pieces(problem, Q, True, data)
         return value, grad, gn
 
     return risk
@@ -222,16 +227,39 @@ def _barrier(y, S0, A, phi):
     slack = phi - float(y @ y)
     if not slack > 0.0:
         return None
-    try:
-        C = np.linalg.cholesky(S0 + np.tensordot(y, A, 1))
-    except np.linalg.LinAlgError:
+    k = len(y)
+    # np.tensordot, np.linalg.cholesky and np.linalg.inv without their wrappers
+    C, info = lapack.dpotrf(S0 + (y @ A.reshape(k, -1)).reshape(S0.shape), lower=1, clean=1)
+    if info != 0:
         return None
-    Ci = np.linalg.inv(C)
+    Ci = lapack.dgesv(C, np.eye(len(C)))[2]
     S = Ci @ A @ Ci.T  # C^-1 A_k C^-T: tr S_k = tr(S(y)^-1 A_k)
     value = -2.0 * float(np.log(np.diag(C)).sum()) - np.log(slack)
     grad = 2.0 * y / slack - np.trace(S, axis1=1, axis2=2)
-    hess = np.einsum("iab,jab->ij", S, S) + (2.0 / slack) * np.eye(len(y))
+    hess = np.einsum("iab,jab->ij", S, S)
+    hess.flat[:: k + 1] += 2.0 / slack
     return value, grad, hess + np.outer(y, y) * (4.0 / slack**2), Ci
+
+
+@lru_cache(maxsize=None)
+def _lstsq_args(k):
+    """dgelsd's workspace sizes for a k x k system with one right-hand side
+    and numpy's rcond=None cutoff, eps k."""
+    cond = np.finfo(float).eps * k
+    work, iwork, _ = lapack.dgelsd_lwork(k, k, 1, cond)
+    return int(work), iwork, cond
+
+
+def _lstsq(K, g):
+    """np.linalg.lstsq(K, g, rcond=None)[0] for a square K: the same dgelsd
+    call at the same cutoff, without the wrapper."""
+    x, _, _, info = lapack.dgelsd(K, g[:, None], *_lstsq_args(len(g)))
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x[:, 0]
+
+
+_HALVINGS = 0.5 ** np.arange(50)
 
 
 def _barrier_path(term, y, lmi, grad_tol, max_iters):
@@ -251,7 +279,7 @@ def _barrier_path(term, y, lmi, grad_tol, max_iters):
     while True:
         grad = g + tau * bar[1]
         # next to the boundary tau b'' can make K singular in floating point
-        step = -np.linalg.lstsq(H + tau * bar[2], grad, rcond=None)[0]
+        step = -_lstsq(H + tau * bar[2], grad)
         slope = float(grad @ step)
         if -slope < 0.25 * tau:
             cuts.append((tau, step, bar[3]))
@@ -262,7 +290,7 @@ def _barrier_path(term, y, lmi, grad_tol, max_iters):
             continue
         if len(trace) > max_iters:
             break
-        for alpha in 0.5 ** np.arange(50):
+        for alpha in _HALVINGS:
             trial = y + alpha * step
             new = _barrier(trial, *lmi)
             if new is not None:
@@ -278,7 +306,7 @@ def _barrier_path(term, y, lmi, grad_tol, max_iters):
         # the barrier holds an interior minimizer O(tau) away from itself;
         # one undamped Gauss-Newton step on f alone removes that offset when
         # it stays strictly inside the set and lowers f (H = 0: no step)
-        trial = y - np.linalg.lstsq(H, g, rcond=None)[0]
+        trial = y - _lstsq(H, g)
         if _barrier(trial, *lmi) is not None:
             point, n_eval = term(trial), n_eval + 1
             if point[0] < f:

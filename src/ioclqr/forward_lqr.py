@@ -209,14 +209,15 @@ def pmp_solve(pmp, x_bar):
     return xs, lams, us
 
 
-def _put_band(ab, d, block, cols0):
-    """Store `block` in band storage once per start column j0 in cols0.
-
-    Row p0 + a, column j0 + b of the matrix lands in ab[d + a - b, j0 + b],
-    where d = kl + ku + p0 - j0 is the same for every copy.
+def _put_band(ab, d, block, j0, count=1, stride=1):
+    """Store `block` in band storage at the start columns j0, j0 + stride,
+    ..., count of them. Row p0 + a, column j + b of the matrix lands in
+    ab[d + a - b, j + b], where d = kl + ku + p0 - j is the same for every
+    copy, so each block column is one strided slice.
     """
-    for b in range(block.shape[1]):
-        ab[d - b : d - b + block.shape[0], cols0 + b] = block[:, b, None]
+    rows, cols = block.shape
+    for b in range(cols):
+        ab[d - b : d - b + rows, j0 + b : j0 + b + count * stride : stride] = block[:, b, None]
 
 
 def pmp_band(sys, N):
@@ -225,12 +226,12 @@ def pmp_band(sys, N):
     n, nb, kl = sys.n, N - 1, 3 * sys.n - 1
     ab = np.zeros((3 * kl + 1, 2 * n * nb), order="F")
     I, Z, BBt = np.eye(n), np.zeros((n, n)), sys.B @ sys.B.T
-    _put_band(ab, 2 * kl, np.hstack([I, BBt]), np.array([0]))  # row 2kl: the diagonal
+    _put_band(ab, 2 * kl, np.hstack([I, BBt]), 0)  # row 2kl: the diagonal
     # block row r = 1..N-2 starts at row n + 2n(r-1) and column 2n(r-1);
     # for N = 2 there is none and only the first and terminal rows remain
     blk = np.block([[-sys.A, Z, I, BBt], [Z, -I, Z, sys.A.T]])
-    _put_band(ab, 2 * kl + n, blk, 2 * n * np.arange(nb - 1))
-    _put_band(ab, 2 * kl, I, np.array([2 * n * nb - n]))
+    _put_band(ab, 2 * kl + n, blk, 0, nb - 1, 2 * n)
+    _put_band(ab, 2 * kl, I, 2 * n * nb - n)
     return ab
 
 
@@ -261,7 +262,7 @@ class BandedPmp:
         self.kl = self.ku = 3 * n - 1
         ab = pmp_band(sys, N) if band is None else band.copy(order="F")
         # Q sits n rows below the [-A 0 I BB'] rows of each block row
-        _put_band(ab, 2 * self.kl + 2 * n, Qm, 2 * n * np.arange(self.nb - 1))
+        _put_band(ab, 2 * self.kl + 2 * n, Qm, 0, self.nb - 1, 2 * n)
         self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         if info != 0:
             raise SingularSystem(
@@ -280,7 +281,8 @@ class BandedPmp:
 
     def q_sensitivities(self, x, basis):
         """Derivatives of `solve`'s states and costates along the symmetric
-        directions E_j of Q (basis: k x n x n), each k x (N-1) x n x M.
+        directions E_j of Q (basis: k x n x n with at most one nonzero per
+        row, as `_sym_basis`), each k x (N-1) x n x M.
 
         F(Q) dZ_j = -(dF/dQ . E_j) Z, and Q enters F only in the costate rows
         lambda_t = Q x_t + A' lambda_{t+1}, t = 2..N-1; in the band order the
@@ -290,8 +292,9 @@ class BandedPmp:
         """
         n, nb = self.n, self.nb
         rhs = np.zeros((nb, 2 * n, len(basis), x.shape[2]))
-        # a row of a `_sym_basis` matrix has one nonzero, so each product is exact
-        rhs[1:, :n] = -(basis[None] @ x[:-1, None]).transpose(0, 2, 1, 3)
+        # row r of E_j x_t is E_j's one nonzero in row r times one row of x_t
+        j, r, c = np.nonzero(basis)
+        rhs[1:, r, j] = -basis[j, r, c][:, None] * x[:-1, c]
         dZ, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.reshape(2 * n * nb, -1), self.piv)
         dZ = dZ.reshape(rhs.shape).transpose(2, 0, 1, 3)
         return dZ[:, :, :n], dZ[:, :, n:]

@@ -12,12 +12,14 @@ from ioclqr.estimate_noisy import EstimateResult, _sym_basis
 from ioclqr.identifiability import PROP2_GAP_TOL, _PathEnd
 
 
-def _barrier_reference(y, basis, phi):
+def _barrier_reference(y, basis, phi, S0=0.0):
+    """The barrier of S0 + sum_k y_k basis_k >= 0 in the ball, through
+    numpy's linalg wrappers: (value, gradient, Hessian, C^-1) or None."""
     slack = phi - float(y @ y)
     if not slack > 0.0:
         return None
     try:
-        C = np.linalg.cholesky(np.tensordot(y, basis, 1))
+        C = np.linalg.cholesky(S0 + np.tensordot(y, basis, 1))
     except np.linalg.LinAlgError:
         return None
     Ci = np.linalg.inv(C)
@@ -25,14 +27,14 @@ def _barrier_reference(y, basis, phi):
     value = -2.0 * float(np.log(np.diag(C)).sum()) - np.log(slack)
     grad = 2.0 * y / slack - np.trace(S, axis1=1, axis2=2)
     hess = np.einsum("iab,jab->ij", S, S) + (2.0 / slack) * np.eye(len(y))
-    return value, grad, hess + np.outer(y, y) * (4.0 / slack**2)
+    return value, grad, hess + np.outer(y, y) * (4.0 / slack**2), Ci
 
 
 def _barrier_fit_reference(term, n, config, method, record_trace=True):
     """The fitting core with its own loop over Q(y) >= 0 and the ball."""
     basis, phi, nu = _sym_basis(n), config["phi"], n + 1
     y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
-    (f, g, H), (b, gb, Hb) = term(y), _barrier_reference(y, basis, phi)
+    (f, g, H), (b, gb, Hb, _) = term(y), _barrier_reference(y, basis, phi)
     tau, trace, n_eval, status = max(1.0, f) / nu, [(0, f)], 1, "step_budget"
     while True:
         grad = g + tau * gb
@@ -56,7 +58,7 @@ def _barrier_fit_reference(term, n, config, method, record_trace=True):
         else:
             status = "line_search_failed"
             break
-        y, (f, g, H), (b, gb, Hb) = trial, point, bar
+        y, (f, g, H), (b, gb, Hb, _) = trial, point, bar
         trace.append((len(trace), f))
     if status == "gap_met":
         trial = y - np.linalg.lstsq(H, g, rcond=None)[0]
@@ -119,6 +121,72 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _lmi_points(rng, S0, A, phi, unit):
+    """Points y of each kind for the LMI S0 + sum_k y_k A_k >= 0 in the ball
+    ||y||^2 < phi, where sum_k unit_k A_k = I: strictly feasible, within
+    rounding of the PSD boundary on either side, not PD, outside the ball,
+    NaN."""
+    k = len(A)
+    for _ in range(40):
+        y = 0.3 * rng.standard_normal(k)
+        lam = np.linalg.eigvalsh(S0 + np.tensordot(y, A, 1))[0]
+        yield y + (rng.uniform(0.05, 0.5) - lam) * unit
+        yield y + (rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 4.0) * 1e-16 - lam) * unit
+        yield y - (rng.uniform(0.05, 0.5) + lam) * unit
+        yield y * np.sqrt(2.0 * phi / (y @ y))
+        y[rng.integers(k)] = np.nan
+        yield y
+
+
+def _barrier_lmis(rng):
+    """(S0, A, phi, unit) of the fits' LMI (Q(y) >= 0, n = 1..4) and of the
+    certificate's (Q'/s + sum_k alpha_k dQ_k - t I >= 0)."""
+    for n in range(1, 5):
+        basis = _sym_basis(n)
+        yield np.zeros((n, n)), basis, 5.0, np.tensordot(basis, np.eye(n), 2)
+        for k in (1, 2, 3):
+            G, D = rng.standard_normal((n, n)), rng.standard_normal((k, n, n))
+            Qp = G @ G.T if k != 2 else G + G.T
+            A = np.concatenate([D + D.transpose(0, 2, 1), -np.eye(n)[None]])
+            yield Qp / np.linalg.norm(Qp), A, 1e8, -np.eye(k + 1)[-1]
+
+
+def test_barrier_is_bit_equal_to_numpy_linalg():
+    # dpotrf's info is the feasibility test and dgesv(C, I) the inverse, as
+    # inside np.linalg.cholesky and np.linalg.inv
+    rng = np.random.default_rng(14)
+    feasible = infeasible = 0
+    for S0, A, phi, unit in _barrier_lmis(rng):
+        for y in _lmi_points(rng, S0, A, phi, unit):
+            got = estimate_noisy._barrier(y, S0, A, phi)
+            want = _barrier_reference(y, A, phi, S0)
+            assert (got is None) == (want is None)
+            if want is None:
+                infeasible += 1
+                continue
+            feasible += 1
+            assert _bits(np.float64(got[0])) == _bits(np.float64(want[0]))
+            for g, w in zip(got[1:], want[1:]):
+                assert np.array_equal(_bits(g), _bits(w))
+    assert feasible > 500 and infeasible > 1000
+
+
+def test_least_squares_is_bit_equal_to_numpy_lstsq():
+    rng = np.random.default_rng(15)
+    for k in range(1, 11):
+        for _ in range(20):
+            G = rng.standard_normal((k, k))
+            rank_deficient = G[:, : max(k - 1, 1)] @ rng.standard_normal((max(k - 1, 1), k))
+            spd = G @ G.T + 1e-17 * rng.standard_normal((k, k))
+            # singular values on both sides of numpy's cutoff eps k sigma_1
+            U, _, Vt = np.linalg.svd(G)
+            graded = (U * np.logspace(0, -17, k)) @ Vt
+            for K in (G, rank_deficient, spd, graded, np.zeros((k, k))):  # H = 0: the polish step
+                g = rng.standard_normal(k)
+                want = np.linalg.lstsq(K, g, rcond=None)[0]
+                assert np.array_equal(_bits(estimate_noisy._lstsq(K, g)), _bits(want))
+
+
 def _fits(sys_, noisy, **kw):
     out = [io.estimate_rm(sys_, noisy, **kw)]
     for mode in estimate_noisy.MODES:
@@ -126,9 +194,17 @@ def _fits(sys_, noisy, **kw):
     return out
 
 
-@pytest.mark.parametrize("M, trial, kw", [(10, 0, {}), (200, 1, {}), (10, 2, {"max_iters": 2})])
-def test_fits_are_bit_equal_to_the_reference_loop(monkeypatch, M, trial, kw):
-    cfg = io.BenchConfig(N=50, M_grid=(M,), master_seed=0)
+@pytest.mark.parametrize(
+    "N, M, trial, kw",
+    [
+        pytest.param(50, 10, 0, {}, id="10-0-kw0"),
+        pytest.param(50, 200, 1, {}, id="200-1-kw1"),
+        pytest.param(50, 10, 2, {"max_iters": 2}, id="10-2-kw2"),
+        pytest.param(400, 10, 0, {"max_iters": 2}, id="N400-10-0-kw3"),  # long_horizon's shape
+    ],
+)
+def test_fits_are_bit_equal_to_the_reference_loop(monkeypatch, N, M, trial, kw):
+    cfg = io.BenchConfig(N=N, M_grid=(M,), master_seed=0)
     sys_, cost, init_ss, noise_ss = bench_harness.sample_instance(cfg, trial)
     exact = io.generate_bundle(sys_, cost, cfg.N, M, seed=init_ss)
     noisy = io.add_noise(exact, cfg.snr_db_x, cfg.snr_db_u, seed=noise_ss)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
+
 import ioclqr as io
 from ioclqr import baseline_rm
 
@@ -267,6 +269,41 @@ def test_reduced_quadratic_matches_dense_qr(n, m, N, M):
     np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12 * scale)
     assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=1e-12 * scale)
+
+
+def _reduced_quadratic_einsum(sys, bundle):
+    """`baseline_rm._reduced_quadratic` with H'C's -A C_adj[k-1] term formed
+    by one einsum over all blocks."""
+    n, N = sys.n, bundle.N
+    A, B = sys.A, sys.B
+    K, nv = N - 2, n * (n + 1) // 2
+    cols = np.tile(np.vstack([-A.T, np.eye(n) + B @ B.T + A @ A.T]), (K, 1, 1))
+    cols[0, :n] = 0.0
+    cols[0, n:] -= A @ A.T
+    ab = np.zeros((2 * n, K, n))
+    for b in range(n):
+        ab[n - 1 - b :, :, b] = cols[:, : n + 1 + b, b].T
+    cb = sla.cholesky_banded(ab.reshape(2 * n, K * n))
+    Dr = io.duplication_map(n).reshape(n, n, nv)
+    S = -np.einsum("mjt,jiv->timv", bundle.X[:, :, 1 : N - 1], Dr)
+    BU = np.einsum("ij,mjt->tim", B, bundle.U[:, :, :K])
+    HtC = np.concatenate([S, BU[..., None]], axis=-1)
+    HtC[1:, ..., :nv] -= np.einsum("ij,tjmv->timv", A, S[:-1])
+    Y = sla.cho_solve_banded((cb, False), HtC.reshape(K * n, -1))
+    HtC, Y, Sf = HtC.reshape(-1, nv + 1), Y.reshape(-1, nv + 1), S.reshape(-1, nv)
+    G = sla.block_diag(Sf.T @ Sf, np.sum(bundle.U**2)) - HtC.T @ Y
+    return G[:nv, :nv], G[:nv, nv], float(G[nv, nv])
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("M", [1, 10])
+@pytest.mark.parametrize("N", [3, 4, 50, 400])  # N = 3: no block k - 1 to subtract
+def test_reduced_quadratic_is_bit_equal_to_einsum(n, m, N, M):
+    sys, bundle = _noisy_case(98 + n + N + M, n, m, N, M)
+    got = baseline_rm._reduced_quadratic(sys, bundle)
+    want = _reduced_quadratic_einsum(sys, bundle)
+    for g, w in zip(got, want):
+        assert np.array_equal(np.float64(g).view(np.uint64), np.float64(w).view(np.uint64))
 
 
 def test_reduced_quadratic_memory_linear_in_horizon():

@@ -142,7 +142,7 @@ class TestGenerate:
         out1, out2 = str(tmp_path / "d1.csv"), str(tmp_path / "d2.csv")
         assert cli.main(args + ["--out", out1]) == 0
         assert cli.main(args + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
 
     def test_snr_none_passthrough(self, stable_instance, tmp_path):
         sys, cost, spath, cpath = stable_instance

@@ -197,7 +197,7 @@ class TestStorage:
 
     def test_dim_mismatch_in_file(self, tmp_path):
         p = tmp_path / "sys.json"
-        json.dump({"n": 3, "m": 1, "A": [[1.0]], "B": [[1.0]]}, p.open("w"))
+        p.write_text(json.dumps({"n": 3, "m": 1, "A": [[1.0]], "B": [[1.0]]}))
         with pytest.raises(io.ParseError):
             io.load_system(p)
 

@@ -355,6 +355,13 @@ class TestBandRoute:
                 io.eval_risk(prob, np.full((1, 1), np.nan))
 
 
+def _put_band_fancy(ab, d, block, cols0):
+    """Band storage through fancy indexing: `block` once per start column
+    j0 in cols0, row p0 + a, column j0 + b landing in ab[d + a - b, j0 + b]."""
+    for b in range(block.shape[1]):
+        ab[d - b : d - b + block.shape[0], cols0 + b] = block[:, b, None]
+
+
 class _PerCallBand(forward_lqr.BandedPmp):
     """`BandedPmp` as it was before the Q-free band was shared: the whole band
     assembled from blocks on every call, the sensitivities' right-hand side
@@ -370,10 +377,10 @@ class _PerCallBand(forward_lqr.BandedPmp):
         ab = np.zeros((2 * self.kl + self.ku + 1, size), order="F")
         I, Z = np.eye(n), np.zeros((n, n))
         BBt = B @ B.T
-        forward_lqr._put_band(ab, d0, np.hstack([I, BBt]), np.array([0]))
+        _put_band_fancy(ab, d0, np.hstack([I, BBt]), np.array([0]))
         blk = np.block([[-A, Z, I, BBt], [np.asarray(Q, dtype=float), -I, Z, A.T]])
-        forward_lqr._put_band(ab, d0 + n, blk, 2 * n * np.arange(nb - 1))
-        forward_lqr._put_band(ab, d0, I, np.array([size - n]))
+        _put_band_fancy(ab, d0 + n, blk, 2 * n * np.arange(nb - 1))
+        _put_band_fancy(ab, d0, I, np.array([size - n]))
         self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         assert info == 0
 
@@ -390,7 +397,10 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("n,m,N", [(1, 1, 2), (2, 1, 3), (2, 1, 50), (3, 2, 40)])
+# N = 4 is the first horizon with two Q blocks, spaced 2n columns apart
+@pytest.mark.parametrize(
+    "n,m,N", [(1, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 50), (3, 2, 40), (2, 1, 400)]
+)
 def test_shared_band_matches_per_call_assembly(n, m, N):
     sys, noisy, Q = _band_case(500 + 10 * n + N, n, m, N)
     band = forward_lqr.pmp_band(sys, N)
