@@ -15,7 +15,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -73,8 +73,7 @@ class BenchConfig:
         raises ParseError."""
         if not isinstance(doc, dict):
             raise ParseError("benchmark config must be a JSON object")
-        keys = ("n_trials", "N", "M_grid", "snr_db_x", "snr_db_u", "phi", "dt", "master_seed")
-        kwargs = {key: doc[key] for key in keys if key in doc}
+        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name != "system" and f.name in doc}
         try:
             if doc.get("system") is not None:
                 s = doc["system"]
@@ -249,56 +248,44 @@ def summarize(records, M_grid):
     return rows
 
 
-def trials_csv(records, M_grid):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(
-        ["trial_id", "M", "method", "rel_error", "converged", "snr_x_realized", "snr_u_realized"]
-    )
+def _cells(records, M_grid):
+    """(trial_id, M, method, cell) for every recorded cell, sorted by trial
+    id, then M in M_grid's order, then method in METHODS' order."""
     for rec in sorted(records, key=lambda r: r.trial_id):
         for M in M_grid:
             for method in METHODS:
                 cell = rec.results.get((M, method))
-                if cell is None:
-                    continue
-                w.writerow(
-                    [
-                        rec.trial_id,
-                        M,
-                        method,
-                        _fmt(cell["rel_error"]),
-                        str(bool(cell["converged"])).lower(),
-                        _fmt(cell["snr_x_realized"]),
-                        _fmt(cell["snr_u_realized"]),
-                    ]
-                )
+                if cell is not None:
+                    yield rec.trial_id, M, method, cell
+
+
+def _csv(header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def trials_csv(records, M_grid):
+    return _csv(
+        ["trial_id", "M", "method", "rel_error", "converged", "snr_x_realized", "snr_u_realized"],
+        ([t, M, method, _fmt(c["rel_error"]), str(bool(c["converged"])).lower(),
+          _fmt(c["snr_x_realized"]), _fmt(c["snr_u_realized"])]
+         for t, M, method, c in _cells(records, M_grid)),
+    )
 
 
 def summary_csv(summary_rows):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["M", "method", "median", "q25", "q75", "n_ok", "n_converged", "n_failed"])
-    for row in summary_rows:
-        w.writerow(
-            [row["M"], row["method"], _fmt(row["median"]), _fmt(row["q25"]), _fmt(row["q75"]),
-             row["n_ok"], row["n_converged"], row["n_failed"]]
-        )
-    return buf.getvalue()
+    keys = ["M", "method", "median", "q25", "q75", "n_ok", "n_converged", "n_failed"]
+    return _csv(keys, ([_fmt(row[k]) for k in keys] for row in summary_rows))
 
 
 def timings_csv(records, M_grid):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["trial_id", "M", "method", "wall_ms"])
-    for rec in sorted(records, key=lambda r: r.trial_id):
-        for M in M_grid:
-            for method in METHODS:
-                cell = rec.results.get((M, method))
-                if cell is None:
-                    continue
-                w.writerow([rec.trial_id, M, method, "%.3f" % cell["wall_ms"]])
-    return buf.getvalue()
+    return _csv(
+        ["trial_id", "M", "method", "wall_ms"],
+        ([t, M, method, "%.3f" % c["wall_ms"]] for t, M, method, c in _cells(records, M_grid)),
+    )
 
 
 def _worker(args):
@@ -353,17 +340,8 @@ def run_benchmark(config, out_dir=None, n_workers=None):
             fh.write(summary_csv(summary_rows))
         with open(os.path.join(out_dir, "timings.csv"), "w", newline="") as fh:
             fh.write(timings_csv(records, config.M_grid))
-        cfg_doc = {
-            "n_trials": config.n_trials,
-            "N": config.N,
-            "M_grid": list(config.M_grid),
-            "snr_db_x": config.snr_db_x,
-            "snr_db_u": config.snr_db_u,
-            "phi": config.phi,
-            "dt": config.dt,
-            "master_seed": config.master_seed,
-            "environment": numeric_environment(),
-        }
+        cfg_doc = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "system"}
+        cfg_doc["environment"] = numeric_environment()
         if config.system is not None:
             cfg_doc["system"] = {"A": config.system.A.tolist(), "B": config.system.B.tolist()}
         write_json(cfg_doc, os.path.join(out_dir, "config.json"))

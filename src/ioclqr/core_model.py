@@ -90,25 +90,15 @@ def unvech(v, n=None):
     return S
 
 
-class DuplicationMap:
-    """The n^2 x n(n+1)/2 binary matrix D with vec(S) = D vech(S)."""
-
-    def __init__(self, n):
-        idx = vech_indices(n)
-        D = np.zeros((n * n, len(idx)))
-        for k, (i, j) in enumerate(idx):
-            D[i + j * n, k] = 1.0
-            D[j + i * n, k] = 1.0  # same entry when i == j
-        D.setflags(write=False)
-        self.n = n
-        self.D = D
-
-    def __repr__(self):
-        return f"DuplicationMap(n={self.n})"
-
-
 def duplication_map(n):
-    return DuplicationMap(n).D
+    """The read-only n^2 x n(n+1)/2 binary matrix D with vec(S) = D vech(S)."""
+    idx = vech_indices(n)
+    D = np.zeros((n * n, len(idx)))
+    for k, (i, j) in enumerate(idx):
+        D[i + j * n, k] = 1.0
+        D[j + i * n, k] = 1.0  # same entry when i == j
+    D.setflags(write=False)
+    return D
 
 
 class LtiSystem:

@@ -7,36 +7,12 @@ by maximizing the smallest eigenvalue along the kernel directions, on the
 dual certificate's run of the noisy fits' log-barrier path.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 
 from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
-from .errors import (
-    AmbiguousSolution,
-    NotIdentifiable,
-    PsdViolation,
-    ResidualTooLarge,
-)
+from .errors import AmbiguousSolution, NotIdentifiable, ResidualTooLarge
 from .identifiability import _max_min_eig, assess
-
-
-def _clamp_tiny_negatives(Qm, tol):
-    w, V = np.linalg.eigh(Qm)
-    if w[0] < -tol:
-        raise PsdViolation(
-            f"recovered Q has min eigenvalue {w[0]:.3e}; data is corrupted or non-optimal"
-        )
-    if w[0] < 0:
-        warnings.warn(
-            f"clamping tiny negative eigenvalues (min {w[0]:.2e}) of recovered Q",
-            stacklevel=3,
-        )
-        w = np.clip(w, 0.0, None)
-        Qm = (V * w) @ V.T
-        Qm = 0.5 * (Qm + Qm.T)
-    return Qm
 
 
 def _fitted_solution(report):
@@ -57,7 +33,9 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
     Raises NotIdentifiable when the verdict is not_determined,
     ResidualTooLarge when no Q with unit input cost explains the data, and
     PsdViolation when the solution is clearly indefinite. The solution is the
-    one `assess` recorded on the report; nothing is re-solved here.
+    one `assess` recorded on the report, returned as it is: CostMatrix is the
+    one PSD gate (psd_tol_for), and a tiny negative eigenvalue within it
+    stays in Q, where EstimateResult's psd_margin reports it.
     """
     if report is None:
         report = assess(sys, bundle)
@@ -65,9 +43,7 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
         raise NotIdentifiable("identifiability verdict is not_determined")
     if report.verdict == "unique_by_dual" and report.kernel_dim:
         return recover_with_kernel(sys, bundle, report, phi=phi)
-    Qm = _fitted_solution(report)
-    Qm = _clamp_tiny_negatives(Qm, psd_tol_for(Qm))
-    return CostMatrix(Qm, phi=phi)
+    return CostMatrix(_fitted_solution(report), phi=phi)
 
 
 def _feasible_width(Q_star, E, level, span=1e3):

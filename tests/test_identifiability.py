@@ -304,6 +304,13 @@ class TestProp2Certificate:
         assert rec.rank_Phi == 1
         assert not rec.intersection_trivial
 
+    def test_family_below_data_precision_raises(self):
+        # lam_min(diag(1, -1) + alpha d) = -(1 + alpha^2 / 2)^(1/2): the
+        # maximum lam* = -1 says no PSD cost fits, so nothing is certified
+        d = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
+        with pytest.raises(io.SolverNotConverged, match="below the data precision"):
+            io.prop2_certificate(np.diag([1.0, -1.0]), [d])
+
     def test_worked_instance_takes_few_newton_steps(self, example_instance):
         rep = io.assess(example_instance["sys"], example_instance["bundle"])
         rec = io.prop2_certificate(rep.q_prime, rep.kernel_basis)
@@ -330,6 +337,20 @@ class TestAssess:
     def test_thm3_recorded_as_none_when_unmet(self, example_instance):
         report = io.assess(example_instance["sys"], example_instance["bundle"])
         assert report.thm3_holds is None  # M = 1 < n
+
+    def test_no_psd_fit_leaves_no_certificate(self):
+        # one exact episode of an indefinite cost: its solution family has a
+        # 3-dimensional kernel but no PSD member, so the certificate raises
+        # and assess records not_determined without one
+        rng = np.random.default_rng(0)
+        sys = io.LtiSystem(rng.standard_normal((3, 3)), rng.standard_normal((3, 1)))
+        x0 = rng.uniform(-5, 5, size=3)
+        xs, _, us = io.pmp_solve(io.build_pmp_system(sys, np.diag([1.0, 0.5, -0.5]), 5), x0)
+        bundle = io.TrajectoryBundle([io.Episode(np.hstack([x0[:, None], xs]), us)], 5, kind="exact")
+        report = io.assess(sys, bundle)
+        assert report.q_prime is not None and report.kernel_dim > 0
+        assert report.verdict == "not_determined"
+        assert report.prop2 is None
 
     def test_rejects_noisy_bundle(self, rich_instance):
         noisy = io.add_noise(rich_instance["bundle"], snr_db_x=20.0, seed=1)

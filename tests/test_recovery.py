@@ -1,6 +1,7 @@
 """Noiseless recovery: the linear solve, the kernel search, and error paths."""
 
 import dataclasses
+import json
 from sys import modules
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import ioclqr as io
 from ioclqr import cli, estimate_noiseless, identifiability
+from ioclqr.core_model import psd_tol_for
 
 
 def _recover_error(sys, Qbar, N, M, seed, phi=5.0):
@@ -92,6 +94,50 @@ class TestRecoveryErrors:
         bundle = io.TrajectoryBundle(eps, 8, kind="exact")
         with pytest.raises(io.PsdViolation):
             io.recover_exact(sys, bundle)
+
+
+def _rank_one_instance():
+    """A full-rank n=2 instance with a rank-1 cost whose least-squares
+    solution has lam_min of -2.8e-16: within the PSD tolerance, below 0."""
+    rng = np.random.default_rng(0)
+    while True:
+        try:
+            sys = io.LtiSystem(rng.standard_normal((2, 2)), rng.standard_normal((2, 1)))
+            break
+        except io.InvalidSystem:
+            continue
+    g = rng.standard_normal(2)
+    Qbar = np.outer(g, g)
+    Qbar *= 0.8 / np.linalg.norm(Qbar)
+    return sys, io.generate_bundle(sys, Qbar, N=8, M=3, seed=0)
+
+
+class TestSingularCost:
+    """CostMatrix is the one PSD gate: a tiny negative eigenvalue of the
+    solution is kept and reported, never clamped (tests run with warnings
+    as errors)."""
+
+    def test_solution_returned_as_is(self):
+        sys, bundle = _rank_one_instance()
+        report = io.assess(sys, bundle)
+        assert report.verdict == "unique_by_rank"
+        assert -psd_tol_for(report.q_prime) < np.linalg.eigvalsh(report.q_prime)[0] < 0.0
+        Q = io.recover_exact(sys, bundle, report=report)
+        np.testing.assert_array_equal(Q.Q, report.q_prime)
+
+    def test_cli_reports_the_margin(self, tmp_path, capsys):
+        sys, bundle = _rank_one_instance()
+        spath, bpath, out = (str(tmp_path / f) for f in ("sys.json", "data.csv", "est.json"))
+        io.save_system(sys, spath)
+        io.save_bundle(bundle, bpath)
+        rc = cli.main(["estimate", "--system", spath, "--bundle", bpath, "--mode", "exact",
+                       "--out", out])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        lam = np.linalg.eigvalsh(io.assess(sys, bundle).q_prime)[0]
+        assert lam < 0.0
+        with open(out) as fh:
+            assert json.load(fh)["constraint_activity"]["psd_margin"] == lam
 
 
 class TestKernelRecovery:

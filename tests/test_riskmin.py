@@ -217,6 +217,22 @@ class TestEstimate:
             assert (res.status, res.converged, res.n_iter) == ("step_budget", False, 1)
             assert res.to_json()["status"] == "step_budget"
 
+    def test_line_search_failure_is_reported(self):
+        # a data term finite only at its start point: every backtracked
+        # trial point is rejected, and the fit says so
+        seen = []
+
+        def term(y):
+            seen.append(y.copy())
+            f = 1.0 if np.array_equal(y, seen[0]) else np.inf
+            return f, np.ones(3), np.eye(3)
+
+        config = {"phi": 5.0, "max_iters": 100, "grad_tol": 1e-8}
+        res = estimate_noisy._barrier_fit(term, 2, config, "risk_x")
+        assert res.status == "line_search_failed"
+        assert res.converged is False
+        assert res.n_iter == 0 and res.n_eval == len(seen) > 1
+
     def test_trace_can_be_disabled(self):
         _, _, _, _, prob = _noisy_problem(69, N=8, M=2, record_trace=False)
         res = io.estimate(prob)

@@ -5,7 +5,10 @@ a benchmark run."""
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -57,3 +60,13 @@ def test_workload_library_names_resolve():
         if obj is gone:
             missing.append(".".join(chain))
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["noisy_fit", "long_horizon", "exact_cli"])
+def test_workload_runs_one_op(name, tmp_path):
+    # one op of each workload, so the keyword arguments the benchmark passes
+    # to the library are checked too; run from source, no bytecode written
+    workloads = runpy.run_path(str(WORKLOADS))
+    wl = workloads["make"](name, 7, 1.0)
+    pool = wl.setup(str(tmp_path))
+    assert wl.run_op(pool[0], lambda: None).problems == []
