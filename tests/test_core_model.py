@@ -49,6 +49,11 @@ def test_duplication_matrix_against_vec(n):
         G = rng.standard_normal((n, n))
         S = G + G.T
         assert np.allclose(D @ vech(S), vec(S), rtol=0, atol=1e-14)
+
+
+def test_duplication_map_object():
+    D = duplication_map(3)
+    assert np.array_equal(D, duplication_map(3))
     with pytest.raises(ValueError):
         D[0, 0] = 7.0  # read-only
 
