@@ -52,22 +52,17 @@ def _reduced_quadratic(sys, bundle):
     return G[:nv, :nv], G[:nv, nv], float(G[nv, nv])
 
 
-def estimate_rm(
-    sys,
-    bundle,
-    phi=DEFAULT_PHI,
-    max_iters=2000,
-    grad_tol=1e-9,
-):
+def estimate_rm(sys, bundle, phi=DEFAULT_PHI, max_iters=2000):
     """Residual-minimization estimate of Q.
 
     The scale of Q is pinned by the input residuals (the input cost weight is
     fixed at identity), so no normalization is imposed; downstream error
     metrics still apply an optimal rescaling, which can only favor this
     baseline. Zero-information data (all observations zero) makes every Q
-    optimal; then Q = I is returned with degenerate=True.
+    optimal; then Q = I is returned with degenerate=True. The fit runs the
+    fitting core at its fixed GRAD_TOL.
     """
-    config = _fit_config(phi, max_iters, grad_tol)
+    config = _fit_config(phi, max_iters)
     if bundle.n != sys.n or bundle.m != sys.m:
         raise DimensionMismatch("bundle dimensions do not match the system")
     _check_horizon(bundle)

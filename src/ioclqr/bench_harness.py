@@ -9,7 +9,6 @@ times go to a separate file so the result CSVs are byte-stable.
 """
 
 import csv
-import hashlib
 import io
 import os
 import platform
@@ -86,7 +85,6 @@ class BenchConfig:
 @dataclass
 class TrialRecord:
     trial_id: int
-    system_hash: str
     Q_bar: np.ndarray
     results: dict = field(default_factory=dict)  # (M, method) -> row dict
 
@@ -171,8 +169,7 @@ def run_trial(config, trial_id):
     sys, cost, init_ss, noise_ss = sample_instance(config, trial_id)
     Qbar = cost.Q
     nrm = float(np.linalg.norm(Qbar))
-    sys_hash = hashlib.sha256(sys.A.tobytes() + sys.B.tobytes()).hexdigest()[:16]
-    record = TrialRecord(trial_id=trial_id, system_hash=sys_hash, Q_bar=Qbar)
+    record = TrialRecord(trial_id=trial_id, Q_bar=Qbar)
     Mmax = max(config.M_grid)
     exact = generate_bundle(
         sys, cost, config.N, Mmax, seed=init_ss,

@@ -23,6 +23,8 @@ from .errors import (
 
 DEFAULT_PHI = 5.0
 
+DYN_TOL = 1e-8  # largest dynamics residual an exact bundle may show
+
 # 17 significant digits round-trips doubles exactly
 FLOAT_FMT = "%.17g"
 
@@ -257,13 +259,14 @@ class TrajectoryBundle:
     def initial_states(self):
         return self.X[:, :, 0].T.copy()  # n x M
 
-    def check_dynamics(self, sys, dyn_tol=1e-8):
-        """Max dynamics residual over the bundle; raises for exact bundles."""
+    def check_dynamics(self, sys):
+        """Max dynamics residual over the bundle; raises for exact bundles
+        above DYN_TOL."""
         pred = sys.A @ self.X[:, :, :-1] + sys.B @ self.U
         worst = float(np.abs(pred - self.X[:, :, 1:]).max(initial=0.0))
-        if self.kind == "exact" and worst > dyn_tol:
+        if self.kind == "exact" and worst > DYN_TOL:
             raise DimensionMismatch(
-                f"exact bundle violates dynamics: residual {worst:.3e} > {dyn_tol:.1e}"
+                f"exact bundle violates dynamics: residual {worst:.3e} > {DYN_TOL:.1e}"
             )
         return worst
 
@@ -330,14 +333,13 @@ def save_cost(cost, path):
     write_json(doc, path)
 
 
-def load_cost(path, psd_tol=None):
+def load_cost(path):
     doc = read_json(path)
     try:
         Q = np.array(doc["Q"], dtype=float)
         n = int(doc["n"])
         phi = float(doc.get("phi", DEFAULT_PHI))
-        if psd_tol is None and "psd_tol" in doc:
-            psd_tol = float(doc["psd_tol"])
+        psd_tol = float(doc["psd_tol"]) if "psd_tol" in doc else None
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: missing or malformed field ({e})") from e
     if Q.shape != (n, n):

@@ -14,6 +14,8 @@ from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
 from .errors import AmbiguousSolution, NotIdentifiable, ResidualTooLarge
 from .identifiability import _max_min_eig, assess
 
+WIDTH_SPAN = 1e3  # cap on each side of a `_feasible_width`
+
 
 def _fitted_solution(report):
     """The report's least-squares solution; assess leaves it unset when its
@@ -46,8 +48,8 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
     return CostMatrix(_fitted_solution(report), phi=phi)
 
 
-def _feasible_width(Q_star, E, level, span=1e3):
-    """Width of {s : Q* + level I + s E >= 0}, each side capped at span.
+def _feasible_width(Q_star, E, level):
+    """Width of {s : Q* + level I + s E >= 0}, each side capped at WIDTH_SPAN.
 
     The set is an interval whose ends are -1/mu for the extreme generalized
     eigenvalues mu of (E, Q* + level I) (the LMI step length, Vandenberghe &
@@ -59,9 +61,9 @@ def _feasible_width(Q_star, E, level, span=1e3):
         mu = sla.eigh(E, Q_star + level * np.eye(len(Q_star)), eigvals_only=True)
     except np.linalg.LinAlgError:
         return 0.0
-    up = -1.0 / mu[0] if mu[0] < 0 else span
-    down = 1.0 / mu[-1] if mu[-1] > 0 else span
-    return min(up, span) + min(down, span)
+    up = -1.0 / mu[0] if mu[0] < 0 else WIDTH_SPAN
+    down = 1.0 / mu[-1] if mu[-1] > 0 else WIDTH_SPAN
+    return min(up, WIDTH_SPAN) + min(down, WIDTH_SPAN)
 
 
 def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):

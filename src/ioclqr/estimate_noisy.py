@@ -33,15 +33,18 @@ from .forward_lqr import BandedPmp, pmp_band
 
 MODES = ("state_obs", "input_obs")
 
+GRAD_TOL = 1e-9  # a fit stops at nu tau <= GRAD_TOL max(1, f) (`_barrier_path`)
+
 
 @dataclass
 class RiskProblem:
+    """A noisy fit's data and settings; every fit stops at GRAD_TOL."""
+
     sys: object
     bundle: object
     mode: str = "state_obs"
     phi: float = DEFAULT_PHI
     max_iters: int = 2000
-    grad_tol: float = 1e-9
     record_trace: bool = True
 
     def __post_init__(self):
@@ -53,7 +56,7 @@ class RiskProblem:
 
     def config(self):
         """The settings a fit reads and records in its result."""
-        return {"mode": self.mode, **_fit_config(self.phi, self.max_iters, self.grad_tol)}
+        return {"mode": self.mode, **_fit_config(self.phi, self.max_iters)}
 
     def observations(self):
         """Observation matrix, one column per episode: x_2..x_N (state_obs)
@@ -68,14 +71,14 @@ class EstimateResult:
     """One estimate, whichever estimator made it. Construction fills
     constraint_activity: psd_margin, the smallest eigenvalue of Q_hat, and
     ball_margin = phi - ||Q_hat||_F^2. status says how a fit stopped:
-    "gap_met" (the barrier path closed to grad_tol), "step_budget" (max_iters
+    "gap_met" (the barrier path closed to GRAD_TOL), "step_budget" (max_iters
     Newton steps taken) or "line_search_failed"; "direct" marks an estimate
-    computed without iterating. n_eval counts data-term evaluations."""
+    computed without iterating. converged follows from status. n_eval counts
+    data-term evaluations."""
 
     Q_hat: CostMatrix
     objective_trace: list = field(default_factory=list)
     grad_norm_final: float = 0.0
-    converged: bool = True
     n_iter: int = 0
     method: str = "risk_x"
     degenerate: bool = False
@@ -90,6 +93,10 @@ class EstimateResult:
             "psd_margin": float(np.linalg.eigvalsh(Q)[0]),
             "ball_margin": float(self.Q_hat.phi - np.sum(Q * Q)),
         }
+
+    @property
+    def converged(self):
+        return self.status in ("gap_met", "direct")
 
     def to_json(self):
         return {
@@ -198,11 +205,11 @@ def _check_horizon(bundle):
         raise DimensionMismatch(f"need a horizon N >= 3 to estimate Q, got N={bundle.N}")
 
 
-def _fit_config(phi, max_iters, grad_tol):
+def _fit_config(phi, max_iters):
     """The fitting core's settings, checked before any data are touched."""
     if phi <= 0:
         raise DimensionMismatch("phi must be positive")
-    return dict(phi=phi, max_iters=max_iters, grad_tol=grad_tol)
+    return dict(phi=phi, max_iters=max_iters, grad_tol=GRAD_TOL)
 
 
 def penalized_objective(problem):
@@ -322,13 +329,12 @@ def _barrier_fit(term, n, config, method, record_trace=True):
     basis, phi = _sym_basis(n), config["phi"]
     y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
     y, grad, trace, n_eval, status, _ = _barrier_path(
-        term, y, (np.zeros((n, n)), basis, phi), config["grad_tol"], config["max_iters"]
+        term, y, (np.zeros((n, n)), basis, phi), GRAD_TOL, config["max_iters"]
     )
     return EstimateResult(
         CostMatrix(np.tensordot(y, basis, 1), phi=phi),
         objective_trace=trace if record_trace else [],
         grad_norm_final=float(np.linalg.norm(grad, np.inf)),
-        converged=status == "gap_met",
         n_iter=len(trace) - 1,
         method=method,
         config=config,
@@ -340,7 +346,7 @@ def _barrier_fit(term, n, config, method, record_trace=True):
 def estimate(problem):
     """Minimize the empirical risk over {Q >= 0, ||Q||_F^2 <= phi} from
     Q0 = I on the fitting core's barrier path. Never raises on
-    non-convergence; the result carries converged=False and its status."""
+    non-convergence; the result's status says how the fit stopped."""
     _check_horizon(problem.bundle)
     method = "risk_x" if problem.mode == "state_obs" else "risk_u"
     return _barrier_fit(

@@ -34,10 +34,9 @@ class GainSchedule:
     K[t-1] is K_t for t = 1..N-1; P[t-2] is P_t for t = 2..N (P_N = 0).
     """
 
-    def __init__(self, K, P, sys):
+    def __init__(self, K, P):
         self.K = K
         self.P = P
-        self.sys = sys
         self.N = len(K) + 1
 
     def K_t(self, t):
@@ -74,7 +73,7 @@ def solve_riccati(sys, Q, N):
         P = 0.5 * (P + P.T)
         if t >= 2:
             Ps[t - 2] = P
-    return GainSchedule(Ks, Ps, sys)
+    return GainSchedule(Ks, Ps)
 
 
 def _times(Mat, Y):
@@ -346,16 +345,10 @@ def add_noise(bundle, snr_db_x=None, snr_db_u=None, seed=0):
 
     y_t = x_t + v_t for t = 2..N (x_1 stays exact), mu_t = u_t + w_t for
     t = 1..N-1. Noise is rescaled so each episode's realized SNR matches the
-    request exactly, with signal power averaged over all entries. Pass None
-    (or "none") to leave a component untouched.
+    request exactly, with signal power averaged over all entries. Each SNR
+    is a number of dB, or None to leave that component untouched.
     """
-    def _parse(s):
-        if s is None or (isinstance(s, str) and s.lower() == "none"):
-            return None
-        return float(s)
-
-    snr_x = _parse(snr_db_x)
-    snr_u = _parse(snr_db_u)
+    snr_x, snr_u = (None if s is None else float(s) for s in (snr_db_x, snr_db_u))
     if snr_x is None and snr_u is None:
         return bundle
     if bundle.kind != "exact":

@@ -52,8 +52,9 @@ class _PathEnd(NamedTuple):
 
 @dataclass
 class IdentifiabilityReport:
+    """What `assess` found; kernel_dim and full_column_rank derive from kernel_basis."""
+
     rank_AD: int
-    full_column_rank: bool
     kernel_basis: list  # symmetric n x n matrices, orthonormal in vech coords
     thm3_holds: Optional[bool]
     prop2: Optional[Prop2Record]
@@ -64,6 +65,10 @@ class IdentifiabilityReport:
     @property
     def kernel_dim(self):
         return len(self.kernel_basis)
+
+    @property
+    def full_column_rank(self):
+        return self.kernel_dim == 0
 
     def to_json(self):
         doc = {
@@ -271,7 +276,6 @@ def assess(sys, bundle, tol=None):
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
     AD = build_A_matrix(sys, bundle) @ duplication_map(sys.n)
     U, sv, Vt, rank, kernel = _factor(AD, tol)
-    full = rank == AD.shape[1]
     try:
         thm3 = check_thm3(bundle)
     except HypothesisUnmet:
@@ -284,7 +288,6 @@ def assess(sys, bundle, tol=None):
     resid = float(np.linalg.norm(AD @ sol - rhs))
     report = IdentifiabilityReport(
         rank_AD=rank,
-        full_column_rank=full,
         kernel_basis=kernel,
         thm3_holds=thm3,
         prop2=None,
@@ -293,7 +296,7 @@ def assess(sys, bundle, tol=None):
     )
     if resid <= 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
         report.q_prime = unvech(sol, sys.n)
-    if full:
+    if report.full_column_rank:
         report.verdict = "unique_by_rank"
         return report
     if thm3:

@@ -71,7 +71,6 @@ def _barrier_fit_reference(term, n, config, method, record_trace=True):
         CostMatrix(np.tensordot(y, basis, 1), phi=phi),
         objective_trace=trace if record_trace else [],
         grad_norm_final=float(np.linalg.norm(grad, np.inf)),
-        converged=status == "gap_met",
         n_iter=len(trace) - 1,
         method=method,
         config=config,

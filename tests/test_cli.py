@@ -361,7 +361,7 @@ class TestEstimate:
         real = cli.estimate
 
         def stalled(prob):
-            return dataclasses.replace(real(prob), converged=False, status="step_budget")
+            return dataclasses.replace(real(prob), status="step_budget")
 
         monkeypatch.setattr(cli, "estimate", stalled)
         rc = cli.main(["estimate", "--system", spath, "--bundle", bpath,

@@ -338,7 +338,7 @@ class TestAddNoise:
 
     def test_none_passthrough(self):
         _, b = self._bundle()
-        assert add_noise(b, snr_db_x=None, snr_db_u="none") is b
+        assert add_noise(b, snr_db_x=None, snr_db_u=None) is b
 
     def test_requires_exact_bundle(self):
         _, b = self._bundle()

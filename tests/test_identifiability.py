@@ -213,7 +213,7 @@ class TestProp2Certificate:
             rec = io.prop2_certificate(np.eye(2), basis)
             assert rec.gap == np.inf
             report = io.IdentifiabilityReport(
-                rank_AD=3 - len(basis), full_column_rank=False, kernel_basis=basis,
+                rank_AD=3 - len(basis), kernel_basis=basis,
                 thm3_holds=None, prop2=rec, verdict="not_determined",
             )
             assert report.to_json()["prop2"]["gap"] is None

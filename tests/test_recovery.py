@@ -165,7 +165,6 @@ class TestKernelRecovery:
         )
         shifted = io.IdentifiabilityReport(
             rank_AD=report.rank_AD,
-            full_column_rank=report.full_column_rank,
             kernel_basis=report.kernel_basis,
             thm3_holds=report.thm3_holds,
             prop2=report.prop2,
@@ -198,7 +197,6 @@ class TestKernelRecovery:
         report = io.assess(rich_instance["sys"], rich_instance["bundle"])
         forged = io.IdentifiabilityReport(
             rank_AD=2,
-            full_column_rank=False,
             kernel_basis=[np.eye(2) / np.sqrt(2.0)],
             thm3_holds=None,
             prop2=None,
@@ -215,7 +213,6 @@ class TestKernelRecovery:
         e11[0, 0] = 1.0
         forged = io.IdentifiabilityReport(
             rank_AD=2,
-            full_column_rank=False,
             kernel_basis=[e11],
             thm3_holds=None,
             prop2=None,
@@ -231,7 +228,6 @@ class TestKernelRecovery:
         # without bound, so a (forged) uniqueness verdict has no point to return
         forged = io.IdentifiabilityReport(
             rank_AD=2,
-            full_column_rank=False,
             kernel_basis=[np.diag([1.0, 0.0])],
             thm3_holds=None,
             prop2=None,
@@ -248,7 +244,6 @@ class TestKernelRecovery:
         d2 = np.diag([1.0, -1.0]) / np.sqrt(2.0)
         forged = io.IdentifiabilityReport(
             rank_AD=1,
-            full_column_rank=False,
             kernel_basis=[d1, d2],
             thm3_holds=None,
             prop2=None,
@@ -271,7 +266,6 @@ class TestKernelRecovery:
         basis = [(F + G) / 2.0, (F - G) / 2.0] if rotate else [F, G]
         forged = io.IdentifiabilityReport(
             rank_AD=4,
-            full_column_rank=False,
             kernel_basis=basis,
             thm3_holds=None,
             prop2=None,
@@ -327,10 +321,11 @@ def test_widths_match_a_bisection_oracle(monkeypatch, example_instance, rich_ins
     width = estimate_noiseless._feasible_width
     seen = []
 
-    def checked(Q_star, E, level, span=1e3):
-        got = width(Q_star, E, level, span)
+    def checked(Q_star, E, level):
+        got = width(Q_star, E, level)
         want = _interval_width_200(
-            lambda s: np.linalg.eigvalsh(Q_star + s * E)[0], 0.0, -level, span
+            lambda s: np.linalg.eigvalsh(Q_star + s * E)[0], 0.0, -level,
+            estimate_noiseless.WIDTH_SPAN,
         )
         assert abs(got - want) <= 1e-5 * want
         seen.append(got)

@@ -166,7 +166,7 @@ class TestEstimate:
         bundle = io.generate_bundle(sys, Qbar, N=10, M=3, seed=13)
         exact = io.recover_exact(sys, bundle)
         for mode in ("state_obs", "input_obs"):
-            res = io.estimate(io.RiskProblem(sys, bundle, mode=mode, grad_tol=1e-9))
+            res = io.estimate(io.RiskProblem(sys, bundle, mode=mode))
             assert res.converged
             rel = np.linalg.norm(res.Q_hat.Q - Qbar) / np.linalg.norm(Qbar)
             assert rel < 1e-6
