@@ -21,7 +21,7 @@ import scipy
 import scipy.linalg as sla
 
 from .baseline_rm import estimate_rm
-from .core_model import CostMatrix, FLOAT_FMT, LtiSystem, write_json
+from .core_model import CostMatrix, FLOAT_FMT, LtiSystem, ball_radius_ok, write_json
 from .errors import InvalidSystem, ParseError, RejectionBudgetExceeded
 from .estimate_noisy import RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
@@ -54,9 +54,11 @@ class BenchConfig:
             if value is None and name.startswith("snr"):
                 continue  # no noise on that component, as in add_noise
             real = not isinstance(value, bool) and isinstance(value, (int, float, np.number))
-            positive = name in ("phi", "dt")
+            positive = name == "dt"  # phi's rule is ball_radius_ok, below
             if not real or not np.isfinite(value) or (positive and value <= 0):
                 raise ValueError(f"{name} must be a finite {'positive ' * positive}real, got {value!r}")
+        if not ball_radius_ok(self.phi):
+            raise ValueError(f"phi must be positive with a finite square, got {self.phi!r}")
         if not self.M_grid:
             raise ValueError("M_grid must be nonempty")
         for m in self.M_grid:

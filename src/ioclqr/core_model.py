@@ -37,6 +37,13 @@ def psd_tol_for(Q):
     return 1e-8 * max(1.0, float(np.linalg.norm(Q)))
 
 
+def ball_radius_ok(phi):
+    """The one rule for the ball ||Q||_F^2 <= phi: phi > 0 with phi * phi
+    finite, as the fitting core's barrier squares phi - ||y||^2. NaN fails."""
+    phi = float(phi)
+    return phi > 0.0 and bool(np.isfinite(phi * phi))
+
+
 def rank_tol(singular_values, shape):
     """Default numerical-rank threshold: max(p,q) * sigma_max * 1e-12."""
     if len(singular_values) == 0:
@@ -119,6 +126,8 @@ class LtiSystem:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
             raise DimensionMismatch(f"B rows {B.shape[0]} != n {A.shape[0]}")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise InvalidSystem("non_finite", "A and B must have finite entries")
         n, m = B.shape
         if numerical_rank(A) < n:
             raise InvalidSystem("not_invertible", "A is singular to working precision")
@@ -150,18 +159,22 @@ class CostMatrix:
     """Symmetric PSD state-cost matrix inside the Frobenius ball ||Q||_F^2 <= phi.
 
     Stored as its half-vectorization so the full matrix view is exactly
-    symmetric. psd_tol may be overridden for data known only to a few
-    printed decimals.
+    symmetric. psd_tol, a finite number >= 0, may be overridden for data
+    known only to a few printed decimals. phi must pass ball_radius_ok.
     """
 
     def __init__(self, Q, phi=DEFAULT_PHI, psd_tol=None):
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DimensionMismatch(f"Q must be square, got {Q.shape}")
+        if not np.isfinite(Q).all():
+            raise InvalidCost("Q has non-finite entries")
         if np.abs(Q - Q.T).max(initial=0.0) > sym_tol(Q):
             raise AsymmetricInput("Q is not symmetric within tolerance")
-        if phi <= 0:
-            raise InvalidCost("phi must be positive")
+        if not ball_radius_ok(phi):
+            raise InvalidCost(f"phi must be positive with a finite square, got {phi!r}")
+        if psd_tol is not None and not 0.0 <= float(psd_tol) < np.inf:
+            raise InvalidCost(f"psd_tol must be finite and >= 0, got {psd_tol!r}")
         vh = vech(0.5 * (Q + Q.T))
         Qv = unvech(vh, Q.shape[0])
         tol = psd_tol_for(Qv) if psd_tol is None else float(psd_tol)
@@ -309,12 +322,20 @@ def read_json(path):
         raise ParseError(f"{path}: {e}") from e
 
 
+def _json_int(doc, key):
+    """doc[key], which must be a JSON integer; anything else raises TypeError."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_system(path):
     doc = read_json(path)
     try:
         A = np.array(doc["A"], dtype=float)
         B = np.array(doc["B"], dtype=float)
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = _json_int(doc, "n"), _json_int(doc, "m")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: missing or malformed field ({e})") from e
     if B.ndim == 1:
@@ -337,7 +358,7 @@ def load_cost(path):
     doc = read_json(path)
     try:
         Q = np.array(doc["Q"], dtype=float)
-        n = int(doc["n"])
+        n = _json_int(doc, "n")
         phi = float(doc.get("phi", DEFAULT_PHI))
         psd_tol = float(doc["psd_tol"]) if "psd_tol" in doc else None
     except (KeyError, TypeError, ValueError) as e:

@@ -31,7 +31,8 @@ class SolverError(IocError):
 class InvalidSystem(ValidationError):
     """System matrices violate an invariant.
 
-    flag is one of 'not_invertible', 'rank_deficient_B', 'uncontrollable'.
+    flag is one of 'non_finite', 'not_invertible', 'rank_deficient_B',
+    'uncontrollable'.
     """
 
     def __init__(self, flag, msg=None):

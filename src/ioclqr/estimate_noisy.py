@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .core_model import CostMatrix, DEFAULT_PHI, as_q, unvech
+from .core_model import CostMatrix, DEFAULT_PHI, as_q, ball_radius_ok, unvech
 from .errors import DimensionMismatch
 from .forward_lqr import BandedPmp, pmp_band
 
@@ -207,8 +207,8 @@ def _check_horizon(bundle):
 
 def _fit_config(phi, max_iters):
     """The fitting core's settings, checked before any data are touched."""
-    if phi <= 0:
-        raise DimensionMismatch("phi must be positive")
+    if not ball_radius_ok(phi):
+        raise DimensionMismatch(f"phi must be positive with a finite square, got {phi!r}")
     return dict(phi=phi, max_iters=max_iters, grad_tol=GRAD_TOL)
 
 

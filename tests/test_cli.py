@@ -124,11 +124,12 @@ class TestForward:
         )
         assert rc == 1
 
-    def test_malformed_x0_exits_2(self, stable_instance, tmp_path, capsys):
+    @pytest.mark.parametrize("x0", ["1,zz", ","])
+    def test_malformed_x0_exits_2(self, stable_instance, tmp_path, capsys, x0):
         _, _, spath, cpath = stable_instance
         with pytest.raises(SystemExit) as exc:
             cli.main(
-                ["forward", "--system", spath, "--cost", cpath, "--x0", "1,zz",
+                ["forward", "--system", spath, "--cost", cpath, "--x0", x0,
                  "--out", str(tmp_path / "x.csv")]
             )
         assert exc.value.code == 2
@@ -203,6 +204,33 @@ class TestGenerate:
         got = io.load_bundle(traj).episodes[0]
         np.testing.assert_array_equal(got.x, ep.x)
         np.testing.assert_array_equal(got.u, ep.u)
+
+    @pytest.mark.parametrize(
+        "kind,edit,code",
+        [("system", lambda d: d["A"][0].__setitem__(0, float("nan")), 2),
+         # NaN off the diagonal passed the PSD gate; generate then exited 3
+         ("cost", lambda d: d.update(Q=[[0.5, float("nan")], [float("nan"), 0.5]]), 2),
+         # an indefinite Q behind a NaN tolerance used to generate data
+         ("cost", lambda d: d.update(Q=[[1.0, 0.0], [0.0, -0.5]], psd_tol=float("nan")), 2),
+         ("cost", lambda d: d.update(phi=float("nan")), 2),
+         ("system", lambda d: d.update(n=float("inf")), 1),
+         ("cost", lambda d: d.update(n=float("inf")), 1)],
+        ids=["nan_in_A", "nan_in_Q", "nan_psd_tol", "nan_phi",
+             "huge_system_n", "huge_cost_n"],
+    )
+    def test_bad_json_value_exits(self, stable_instance, tmp_path, capsys, kind, edit, code):
+        # json writes inf as Infinity, which it reads back as 1e3082 would be
+        _, _, spath, cpath = stable_instance
+        path = spath if kind == "system" else cpath
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = tmp_path / "d.csv"
+        rc = cli.main(["generate", "--system", spath, "--cost", cpath, "--out", str(out)])
+        assert rc == code and not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("flag,value", [("--snr-x", "abc"), ("--snr-u", "nan")])
     def test_bad_snr_exits_2(self, stable_instance, tmp_path, flag, value):
@@ -356,6 +384,18 @@ class TestEstimate:
                        "--mode", "exact", "--out", str(tmp_path / "x.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "risk-x", "risk-u", "residual-min"])
+    @pytest.mark.parametrize("phi", ["nan", "1e300", "inf"])
+    def test_bad_phi_exits_2(self, dataset, tmp_path, capsys, mode, phi):
+        # nan raised TypeError and 1e300 OverflowError; inf wrote "phi":
+        # Infinity (residual-min) or stalled the risk fits
+        _, _, spath, bpath = dataset
+        out = tmp_path / "x.json"
+        rc = cli.main(["estimate", "--system", spath, "--bundle", bpath, "--mode", mode,
+                       "--phi", phi, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "phi" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
         _, _, spath, bpath = dataset
         real = cli.estimate
@@ -403,10 +443,11 @@ class TestBench:
          {"n_trials": 1, "N": 2, "M_grid": [4]},
          {"n_trials": 1, "N": 12, "M_grid": [4], "phi": "x"},
          {"n_trials": 1, "N": 12, "M_grid": [4], "phi": -1},
+         {"n_trials": 1, "N": 12, "M_grid": [4], "phi": 1e300},
          {"n_trials": 1, "N": 12, "M_grid": [4], "snr_db_x": "x"},
          {"n_trials": 1, "N": 12, "M_grid": [4], "master_seed": -1}],
         ids=["list", "empty_M_grid", "zero_dt", "system_without_A", "string_n_trials",
-             "zero_trials", "horizon_2", "string_phi", "negative_phi", "string_snr",
+             "zero_trials", "horizon_2", "string_phi", "negative_phi", "huge_phi", "string_snr",
              "negative_seed"],
     )
     def test_wrong_shape_config_exits_1(self, tmp_path, doc):

@@ -39,6 +39,13 @@ def test_vech_rejects_asymmetric():
         vech(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+def test_vech_and_unvech_reject_wrong_shapes():
+    with pytest.raises(io.DimensionMismatch):
+        vech(np.ones((2, 3)))
+    with pytest.raises(io.DimensionMismatch):
+        unvech(np.ones(4))  # not n(n+1)/2 for any n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_duplication_matrix_against_vec(n):
     rng = np.random.default_rng(n)
@@ -84,6 +91,22 @@ class TestLtiSystem:
         sys = io.LtiSystem(np.array([[0.0, 1.0], [0.3, 0.1]]), np.array([0.0, 1.0]))
         assert sys.B.shape == (2, 1)
 
+    def test_shapes_checked(self):
+        with pytest.raises(io.DimensionMismatch):
+            io.LtiSystem(np.ones((2, 3)), np.ones((2, 1)))
+        with pytest.raises(io.DimensionMismatch):
+            io.LtiSystem(np.eye(2), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("where", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, where, value):
+        # checked before any LAPACK call, which would raise LinAlgError
+        A, B = np.array([[0.0, 1.0], [0.3, 0.1]]), np.array([[0.0], [1.0]])
+        (A if where == "A" else B)[0, 0] = value
+        with pytest.raises(io.InvalidSystem) as exc:
+            io.LtiSystem(A, B)
+        assert exc.value.flag == "non_finite"
+
 
 class TestCostMatrix:
     def test_roundtrip_and_symmetry(self):
@@ -112,6 +135,34 @@ class TestCostMatrix:
             io.CostMatrix(Q)
         c = io.CostMatrix(Q, psd_tol=1e-4)
         assert c.Q[1, 1] == -1e-5
+
+    @pytest.mark.parametrize("psd_tol", [np.nan, -1.0, np.inf])
+    def test_rejects_bad_psd_tol(self, psd_tol):
+        # a NaN tolerance used to pass an indefinite Q through the PSD gate
+        for Q in (np.diag([1.0, 1.0, -0.5]), 0.5 * np.eye(3)):
+            with pytest.raises(io.InvalidCost):
+                io.CostMatrix(Q, psd_tol=psd_tol)
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0, np.nan, np.inf, 1e300])
+    def test_rejects_bad_phi(self, phi):
+        with pytest.raises(io.InvalidCost):
+            io.CostMatrix(0.5 * np.eye(2), phi=phi)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        Q = 0.5 * np.eye(3)
+        Q[1, 1] = value
+        with pytest.raises(io.InvalidCost):
+            io.CostMatrix(Q)
+
+
+def test_ball_radius_rule():
+    # positive with a finite square: the barrier squares phi - ||y||^2
+    from ioclqr.core_model import ball_radius_ok
+
+    assert ball_radius_ok(5.0) and ball_radius_ok(1e150) and ball_radius_ok(np.float64(1e-300))
+    for phi in (0.0, -1.0, np.nan, np.inf, 1e300, np.float64(1e300)):
+        assert not ball_radius_ok(phi)
 
 
 class TestBundle:
@@ -204,6 +255,37 @@ class TestStorage:
         p.write_text(json.dumps({"n": 3, "m": 1, "A": [[1.0]], "B": [[1.0]]}))
         with pytest.raises(io.ParseError):
             io.load_system(p)
+        p.write_text(json.dumps({"n": 2, "phi": 5.0, "Q": [[1.0]]}))
+        with pytest.raises(io.ParseError):
+            io.load_cost(p)
+
+    def test_missing_field(self, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps({"n": 1, "m": 1, "A": [[0.5]]}))
+        with pytest.raises(io.ParseError):
+            io.load_system(p)
+        p.write_text(json.dumps({"n": 1, "phi": 5.0}))
+        with pytest.raises(io.ParseError):
+            io.load_cost(p)
+
+    def test_vector_B_in_file(self, tmp_path):
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps({"n": 2, "m": 1, "A": [[0.0, 1.0], [0.3, 0.1]], "B": [0.0, 1.0]}))
+        assert io.load_system(p).B.shape == (2, 1)
+
+    @pytest.mark.parametrize("key", ["n", "m"])
+    @pytest.mark.parametrize("text", ["1e3082", "1.7", "true", '"1"'])
+    def test_dims_must_be_json_integers(self, tmp_path, key, text):
+        # 1e3082 parses to inf (int() raised OverflowError); 1.7 and true
+        # were read as 1
+        p = tmp_path / "x.json"
+        if key == "n":
+            p.write_text(f'{{"n": {text}, "phi": 5.0, "Q": [[0.5]]}}')
+            with pytest.raises(io.ParseError):
+                io.load_cost(p)
+        p.write_text(f'{{"n": 1, "m": 1, "A": [[0.5]], "B": [[1.0]], "{key}": {text}}}')
+        with pytest.raises(io.ParseError):
+            io.load_system(p)
 
     def test_bundle_roundtrip_exact(self, tmp_path, rich_instance):
         path = tmp_path / "b.csv"
@@ -231,6 +313,12 @@ class TestStorage:
             io.load_bundle(p)
         p.write_text("foo,bar\n1,2\n")
         with pytest.raises(io.ParseError):
+            io.load_bundle(p)
+        p.write_text("episode,t,x1,u1\n")
+        with pytest.raises(io.ParseError, match="no data rows"):
+            io.load_bundle(p)
+        p.write_text("# kind=noisy_state,snr_db_x=loud,snr_db_u=none\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n")
+        with pytest.raises(io.ParseError, match="metadata"):
             io.load_bundle(p)
         # input missing before the final step
         p.write_text("episode,t,x1,u1\n1,1,0.5,\n1,2,0.4,0.0\n")
