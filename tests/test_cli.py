@@ -124,15 +124,22 @@ class TestForward:
         )
         assert rc == 1
 
-    @pytest.mark.parametrize("x0", ["1,zz", ","])
-    def test_malformed_x0_exits_2(self, stable_instance, tmp_path, capsys, x0):
+    def test_malformed_x0_exits_2(self, stable_instance, tmp_path, capsys):
         _, _, spath, cpath = stable_instance
         with pytest.raises(SystemExit) as exc:
             cli.main(
-                ["forward", "--system", spath, "--cost", cpath, "--x0", x0,
+                ["forward", "--system", spath, "--cost", cpath, "--x0", "1,zz",
                  "--out", str(tmp_path / "x.csv")]
             )
         assert exc.value.code == 2
+
+    def test_empty_x0_exits_2(self, stable_instance, tmp_path, capsys):
+        _, _, spath, cpath = stable_instance
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["forward", "--system", spath, "--cost", cpath, "--x0", ",",
+                      "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "x0 is empty" in capsys.readouterr().err
 
 
 class TestGenerate:

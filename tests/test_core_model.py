@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import ioclqr as io
-from ioclqr.core_model import KINDS, TrajectoryBundle, duplication_map, unvech, vec, vech
+from ioclqr.core_model import (
+    KINDS, TrajectoryBundle, ball_radius_ok, duplication_map, unvech, vec, vech,
+)
 
 
 def test_vec_is_column_major():
@@ -100,7 +102,8 @@ class TestLtiSystem:
     @pytest.mark.parametrize("where", ["A", "B"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, where, value):
-        # checked before any LAPACK call, which would raise LinAlgError
+        # checked before any LAPACK call, which raised LinAlgError or read
+        # an inf as not_invertible or rank_deficient_B
         A, B = np.array([[0.0, 1.0], [0.3, 0.1]]), np.array([[0.0], [1.0]])
         (A if where == "A" else B)[0, 0] = value
         with pytest.raises(io.InvalidSystem) as exc:
@@ -158,8 +161,6 @@ class TestCostMatrix:
 
 def test_ball_radius_rule():
     # positive with a finite square: the barrier squares phi - ||y||^2
-    from ioclqr.core_model import ball_radius_ok
-
     assert ball_radius_ok(5.0) and ball_radius_ok(1e150) and ball_radius_ok(np.float64(1e-300))
     for phi in (0.0, -1.0, np.nan, np.inf, 1e300, np.float64(1e300)):
         assert not ball_radius_ok(phi)
@@ -317,7 +318,9 @@ class TestStorage:
         p.write_text("episode,t,x1,u1\n")
         with pytest.raises(io.ParseError, match="no data rows"):
             io.load_bundle(p)
-        p.write_text("# kind=noisy_state,snr_db_x=loud,snr_db_u=none\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n")
+        p.write_text(
+            "# kind=noisy_state,snr_db_x=loud,snr_db_u=none\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n"
+        )
         with pytest.raises(io.ParseError, match="metadata"):
             io.load_bundle(p)
         # input missing before the final step

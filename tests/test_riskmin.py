@@ -227,7 +227,7 @@ class TestEstimate:
             f = 1.0 if np.array_equal(y, seen[0]) else np.inf
             return f, np.ones(3), np.eye(3)
 
-        config = {"phi": 5.0, "max_iters": 100, "grad_tol": 1e-8}
+        config = {"phi": 5.0, "max_iters": 100}
         res = estimate_noisy._barrier_fit(term, 2, config, "risk_x")
         assert res.status == "line_search_failed"
         assert res.converged is False
