@@ -158,9 +158,10 @@ class LtiSystem:
 class CostMatrix:
     """Symmetric PSD state-cost matrix inside the Frobenius ball ||Q||_F^2 <= phi.
 
-    Stored as its half-vectorization so the full matrix view is exactly
-    symmetric. psd_tol, a finite number >= 0, may be overridden for data
-    known only to a few printed decimals. phi must pass ball_radius_ok.
+    Keeps the exactly symmetric 0.5 (Q + Q') it validated, read-only, and the
+    margins its gates measured: lam_min and fro2 = ||Q||_F^2. psd_tol, a finite
+    number >= 0, may be overridden for data known only to a few printed
+    decimals. phi must pass ball_radius_ok.
     """
 
     def __init__(self, Q, phi=DEFAULT_PHI, psd_tol=None):
@@ -175,28 +176,24 @@ class CostMatrix:
             raise InvalidCost(f"phi must be positive with a finite square, got {phi!r}")
         if psd_tol is not None and not 0.0 <= float(psd_tol) < np.inf:
             raise InvalidCost(f"psd_tol must be finite and >= 0, got {psd_tol!r}")
-        vh = vech(0.5 * (Q + Q.T))
-        Qv = unvech(vh, Q.shape[0])
-        tol = psd_tol_for(Qv) if psd_tol is None else float(psd_tol)
-        lam_min = float(np.linalg.eigvalsh(Qv)[0]) if Q.shape[0] else 0.0
-        if lam_min < -tol:
-            raise PsdViolation(f"min eigenvalue {lam_min:.3e} < -{tol:.3e}")
-        fro2 = float(np.sum(Qv * Qv))
-        if fro2 > phi * (1 + 1e-9):
-            raise InvalidCost(f"||Q||_F^2 = {fro2:.6g} exceeds phi = {phi:.6g}")
-        self._vh = vh
-        self._vh.setflags(write=False)
-        self.n = Q.shape[0]
-        self.phi = float(phi)
-        self.psd_tol = tol
+        Qs = 0.5 * (Q + Q.T)
+        tol = psd_tol_for(Qs) if psd_tol is None else float(psd_tol)
+        self.lam_min = float(np.linalg.eigvalsh(Qs)[0]) if Q.shape[0] else 0.0
+        if self.lam_min < -tol:
+            raise PsdViolation(f"min eigenvalue {self.lam_min:.3e} < -{tol:.3e}")
+        self.fro2 = float(np.sum(Qs * Qs))
+        if self.fro2 > phi * (1 + 1e-9):
+            raise InvalidCost(f"||Q||_F^2 = {self.fro2:.6g} exceeds phi = {phi:.6g}")
+        Qs.setflags(write=False)
+        self._Q, self.n, self.phi, self.psd_tol = Qs, Q.shape[0], float(phi), tol
 
     @property
     def Q(self):
-        return unvech(self._vh, self.n)
+        return self._Q.copy()
 
     @property
     def vh(self):
-        return self._vh
+        return vech(self._Q)
 
     def __repr__(self):
         return f"CostMatrix(n={self.n}, phi={self.phi})"

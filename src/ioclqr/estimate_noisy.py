@@ -68,13 +68,13 @@ class RiskProblem:
 
 @dataclass
 class EstimateResult:
-    """One estimate, whichever estimator made it. Construction fills
-    constraint_activity: psd_margin, the smallest eigenvalue of Q_hat, and
-    ball_margin = phi - ||Q_hat||_F^2. status says how a fit stopped:
-    "gap_met" (the barrier path closed to GRAD_TOL), "step_budget" (max_iters
-    Newton steps taken) or "line_search_failed"; "direct" marks an estimate
-    computed without iterating. converged follows from status. n_eval counts
-    data-term evaluations."""
+    """One estimate, whichever estimator made it. constraint_activity reads
+    the margins Q_hat's CostMatrix measured: psd_margin = lam_min(Q_hat) and
+    ball_margin = phi - ||Q_hat||_F^2. status says how a fit stopped: "gap_met"
+    (the barrier path closed to GRAD_TOL), "step_budget" (max_iters Newton
+    steps taken) or "line_search_failed"; "direct" marks an estimate computed
+    without iterating. converged follows from status. n_eval counts data-term
+    evaluations."""
 
     Q_hat: CostMatrix
     objective_trace: list = field(default_factory=list)
@@ -85,14 +85,10 @@ class EstimateResult:
     config: dict = field(default_factory=dict)
     status: str = "direct"
     n_eval: int = 0
-    constraint_activity: dict = field(init=False)
 
-    def __post_init__(self):
-        Q = self.Q_hat.Q
-        self.constraint_activity = {
-            "psd_margin": float(np.linalg.eigvalsh(Q)[0]),
-            "ball_margin": float(self.Q_hat.phi - np.sum(Q * Q)),
-        }
+    @property
+    def constraint_activity(self):
+        return {"psd_margin": self.Q_hat.lam_min, "ball_margin": self.Q_hat.phi - self.Q_hat.fro2}
 
     @property
     def converged(self):

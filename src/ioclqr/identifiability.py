@@ -125,7 +125,7 @@ def stacked_inputs_rhs(bundle):
     return -bundle.U[:, :, : bundle.N - 2].transpose(0, 2, 1).ravel()
 
 
-def _factor(AD, tol):
+def _factor(AD):
     """SVD of A(x) D with its numerical rank and sign-fixed kernel basis.
 
     Thin, so U is p x q rather than p x p; the full Vt is kept only for a
@@ -133,21 +133,20 @@ def _factor(AD, tol):
     """
     p, q = AD.shape
     U, sv, Vt = np.linalg.svd(AD, full_matrices=p < q)
-    thr = rank_tol(sv, AD.shape) if tol is None else tol
-    rank = int((sv > thr).sum())
+    rank = int((sv > rank_tol(sv, AD.shape)).sum())
     K = Vt[rank:]  # kernel rows; flip each so its largest-magnitude entry is positive
     K = K * np.sign(K[np.arange(len(K)), np.abs(K).argmax(axis=1)])[:, None]
     return U, sv, Vt, rank, [unvech(v) for v in K]
 
 
-def check_rank_condition(AD, tol=None):
-    """Numerical rank of A(x) D and an orthonormal kernel basis.
+def check_rank_condition(AD):
+    """Numerical rank of A(x) D (rank_tol) and an orthonormal kernel basis.
 
     Kernel directions come back as symmetric matrices, orthonormal in vech
     coordinates, sign-fixed so each one's largest-magnitude entry is positive.
     """
     AD = np.asarray(AD, dtype=float)
-    *_, rank, kernel = _factor(AD, tol)
+    *_, rank, kernel = _factor(AD)
     return rank, rank == AD.shape[1], kernel
 
 
@@ -182,7 +181,7 @@ def _max_min_eig(Q_prime, kernel_basis):
     Qp = np.asarray(Q_prime, dtype=float)
     n, k = Qp.shape[0], len(kernel_basis)
     A = np.stack([np.asarray(d, dtype=float) for d in kernel_basis] + [-np.eye(n)])
-    if np.linalg.matrix_rank(np.stack([vech(a) for a in A])) <= k:
+    if numerical_rank(np.stack([vech(a) for a in A])) <= k:
         return _PathEnd(False, np.zeros(k), np.inf, [], np.inf, 0, None)
     scale = float(np.linalg.norm(Qp)) or 1.0
     t, H, phi = np.eye(k + 1)[-1], np.zeros((k + 1, k + 1)), 1e8
@@ -263,7 +262,7 @@ def prop2_certificate(Q_prime, kernel_basis):
     )
 
 
-def assess(sys, bundle, tol=None):
+def assess(sys, bundle):
     """Full identifiability report for an exact bundle.
 
     Verdict: unique_by_rank on full column rank, else unique_by_thm3 when the
@@ -275,13 +274,13 @@ def assess(sys, bundle, tol=None):
     if bundle.kind != "exact":
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
     AD = build_A_matrix(sys, bundle) @ duplication_map(sys.n)
-    U, sv, Vt, rank, kernel = _factor(AD, tol)
+    U, sv, Vt, rank, kernel = _factor(AD)
     try:
         thm3 = check_thm3(bundle)
     except HypothesisUnmet:
         thm3 = None
-    # min-norm least-squares solution from the same factors, truncated where
-    # np.linalg.lstsq(rcond=None) truncates, independently of the rank tol
+    # min-norm least-squares solution from the same factors, cut at eps max(p, q)
+    # sigma_1 rather than rank_tol: np.linalg.lstsq(rcond=None)'s cutoff, and bits
     keep = sv > np.finfo(float).eps * max(AD.shape) * sv[0]
     rhs = stacked_inputs_rhs(bundle)
     sol = Vt[: sv.size][keep].T @ ((U[:, keep].T @ rhs) / sv[keep])
