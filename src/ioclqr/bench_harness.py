@@ -21,7 +21,7 @@ import scipy
 import scipy.linalg as sla
 
 from .baseline_rm import estimate_rm
-from .core_model import CostMatrix, FLOAT_FMT, LtiSystem, ball_radius_ok, write_json
+from .core_model import CostMatrix, FLOAT_FMT, LtiSystem, ball_radius_ok, json_matrix, write_json
 from .errors import InvalidSystem, ParseError, RejectionBudgetExceeded
 from .estimate_noisy import RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
@@ -78,9 +78,9 @@ class BenchConfig:
         try:
             if doc.get("system") is not None:
                 s = doc["system"]
-                kwargs["system"] = LtiSystem(np.array(s["A"]), np.array(s["B"]))
+                kwargs["system"] = LtiSystem(json_matrix(s["A"], "A"), json_matrix(s["B"], "B"))
             return cls(**kwargs)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"malformed benchmark config ({type(e).__name__}: {e})") from e
 
 

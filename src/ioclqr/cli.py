@@ -4,7 +4,8 @@ Five subcommands cover the batch workflows: forward (solve for one optimal
 episode), generate (sample a dataset, optionally noisy), identify (rank and
 certificate report), estimate (recover the state cost by one of four
 methods), and bench (Monte-Carlo consistency study). Exit codes: 0 success,
-1 file or parse trouble, 2 validation failure, 3 solver non-convergence.
+1 file or parse trouble, 2 validation failure, 3 solver non-convergence or
+a numerical failure (a floating-point overflow or a failed LAPACK call).
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .core_model import (
     save_bundle,
     write_json,
 )
-from .errors import IocError, SolverNotConverged
+from .errors import IocError, NumericalFailure, SolverNotConverged
 from .estimate_noiseless import recover_exact
 from .estimate_noisy import EstimateResult, RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
@@ -53,6 +54,13 @@ def _snr_type(text):
     if not np.isfinite(snr):
         raise argparse.ArgumentTypeError(f"SNR {text!r} is not finite")
     return snr
+
+
+def _seed_type(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is negative")
+    return seed
 
 
 def _glue_x0(argv):
@@ -162,7 +170,7 @@ def build_parser():
     g.add_argument("--cost", required=True)
     g.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     g.add_argument("--episodes", type=int, default=1, help="number of episodes M")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed_type, default=0)
     g.add_argument("--snr-x", type=_snr_type, default="none", help='state SNR in dB, or "none"')
     g.add_argument("--snr-u", type=_snr_type, default="none", help='input SNR in dB, or "none"')
     g.add_argument("--out", required=True)
@@ -194,7 +202,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(_glue_x0(sys.argv[1:] if argv is None else argv))
     try:
-        globals()[f"cmd_{args.command}"](args)
+        # an overflow or invalid operation is a numerical failure, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            globals()[f"cmd_{args.command}"](args)
+    except (FloatingPointError, np.linalg.LinAlgError) as e:
+        print(f"error: numerical failure: {e}", file=sys.stderr)
+        return NumericalFailure.exit_code
     except (IocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 1)

@@ -113,8 +113,8 @@ def duplication_map(n):
 class LtiSystem:
     """Discrete-time pair (A, B) with x_{t+1} = A x_t + B u_t.
 
-    Validated on construction: A invertible, B full column rank,
-    (A, B) controllable.
+    Validated on construction: entries and A^k B (k < n) finite, A
+    invertible, B full column rank, (A, B) controllable.
     """
 
     def __init__(self, A, B):
@@ -126,14 +126,18 @@ class LtiSystem:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
             raise DimensionMismatch(f"B rows {B.shape[0]} != n {A.shape[0]}")
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise InvalidSystem("non_finite", "A and B must have finite entries")
+        # B B' and A' P A square the entries: each square must be finite too
+        if not np.abs(np.hstack([A, B])).max(initial=0.0) < np.sqrt(np.finfo(float).max):
+            raise InvalidSystem("non_finite", "A and B must have finite entries with finite squares")
         n, m = B.shape
         if numerical_rank(A) < n:
             raise InvalidSystem("not_invertible", "A is singular to working precision")
         if numerical_rank(B) < m:
             raise InvalidSystem("rank_deficient_B", "B does not have full column rank")
-        ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+        if not np.isfinite(ctrb).all():
+            raise InvalidSystem("non_finite", "A^k B overflows for some k < n")
         if numerical_rank(ctrb) < n:
             raise InvalidSystem("uncontrollable", "(A, B) is not controllable")
         A.setflags(write=False)
@@ -170,10 +174,14 @@ class CostMatrix:
             raise DimensionMismatch(f"Q must be square, got {Q.shape}")
         if not np.isfinite(Q).all():
             raise InvalidCost("Q has non-finite entries")
-        if np.abs(Q - Q.T).max(initial=0.0) > sym_tol(Q):
-            raise AsymmetricInput("Q is not symmetric within tolerance")
         if not ball_radius_ok(phi):
             raise InvalidCost(f"phi must be positive with a finite square, got {phi!r}")
+        # an entry's square alone bounds ||Q||_F^2; testing it first keeps
+        # huge entries out of the norms below, which would overflow
+        if np.abs(Q).max(initial=0.0) > np.sqrt(phi * (1 + 1e-9)):
+            raise InvalidCost(f"an entry of Q alone puts ||Q||_F^2 above phi = {phi:.6g}")
+        if np.abs(Q - Q.T).max(initial=0.0) > sym_tol(Q):
+            raise AsymmetricInput("Q is not symmetric within tolerance")
         if psd_tol is not None and not 0.0 <= float(psd_tol) < np.inf:
             raise InvalidCost(f"psd_tol must be finite and >= 0, got {psd_tol!r}")
         Qs = 0.5 * (Q + Q.T)
@@ -319,21 +327,29 @@ def read_json(path):
         raise ParseError(f"{path}: {e}") from e
 
 
-def _json_int(doc, key):
-    """doc[key], which must be a JSON integer; anything else raises TypeError."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
+def json_number(value, key, kind=(int, float)):
+    """value, which must be a JSON number (a JSON integer for kind=int);
+    anything else, a bool, a string or a null included, raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} must be a JSON {'integer' if kind is int else 'number'}: {value!r}")
     return value
+
+
+def json_matrix(value, key):
+    """value, a list of JSON numbers nested to any depth, as a float array;
+    any other entry raises TypeError (json_number)."""
+    def check(v):
+        return [check(e) for e in v] if isinstance(v, list) else json_number(v, key)
+
+    return np.array(check(value), dtype=float)
 
 
 def load_system(path):
     doc = read_json(path)
     try:
-        A = np.array(doc["A"], dtype=float)
-        B = np.array(doc["B"], dtype=float)
-        n, m = _json_int(doc, "n"), _json_int(doc, "m")
-    except (KeyError, TypeError, ValueError) as e:
+        A, B = json_matrix(doc["A"], "A"), json_matrix(doc["B"], "B")
+        n, m = json_number(doc["n"], "n", int), json_number(doc["m"], "m", int)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{path}: missing or malformed field ({e})") from e
     if B.ndim == 1:
         B = B.reshape(-1, 1)
@@ -354,11 +370,10 @@ def save_cost(cost, path):
 def load_cost(path):
     doc = read_json(path)
     try:
-        Q = np.array(doc["Q"], dtype=float)
-        n = _json_int(doc, "n")
-        phi = float(doc.get("phi", DEFAULT_PHI))
-        psd_tol = float(doc["psd_tol"]) if "psd_tol" in doc else None
-    except (KeyError, TypeError, ValueError) as e:
+        Q, n = json_matrix(doc["Q"], "Q"), json_number(doc["n"], "n", int)
+        phi = float(json_number(doc.get("phi", DEFAULT_PHI), "phi"))
+        psd_tol = float(json_number(doc["psd_tol"], "psd_tol")) if "psd_tol" in doc else None
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{path}: missing or malformed field ({e})") from e
     if Q.shape != (n, n):
         raise ParseError(f"{path}: Q shape {Q.shape} does not match n={n}")

@@ -35,6 +35,10 @@ MODES = ("state_obs", "input_obs")
 
 GRAD_TOL = 1e-9  # a fit stops at nu tau <= GRAD_TOL max(1, f) (`_barrier_path`)
 
+# least slack phi - |y|^2 `_barrier` admits: below it the Hessian's 4 / slack^2
+# overflows. A fit starts at slack ~ phi / 2, so its phi must exceed 4 MIN_SLACK.
+MIN_SLACK = 1e-150
+
 
 @dataclass
 class RiskProblem:
@@ -203,8 +207,8 @@ def _check_horizon(bundle):
 
 def _fit_config(phi, max_iters):
     """The fitting core's settings, checked before any data are touched."""
-    if not ball_radius_ok(phi):
-        raise DimensionMismatch(f"phi must be positive with a finite square, got {phi!r}")
+    if not (ball_radius_ok(phi) and phi > 4.0 * MIN_SLACK):
+        raise DimensionMismatch(f"phi must exceed {4 * MIN_SLACK:g} with a finite square: {phi!r}")
     return dict(phi=phi, max_iters=max_iters, grad_tol=GRAD_TOL)
 
 
@@ -226,9 +230,10 @@ def penalized_objective(problem):
 def _barrier(y, S0, A, phi):
     """-log det S(y) - log(phi - |y|^2), S(y) = S0 + sum_k y_k A_k, with its
     gradient and Hessian in y and the inverse Cholesky factor C^-1 of S(y),
-    or None unless S(y) is positive definite and y inside the ball."""
+    or None unless S(y) is positive definite and y inside the ball by more
+    than MIN_SLACK."""
     slack = phi - float(y @ y)
-    if not slack > 0.0:
+    if not slack > MIN_SLACK:
         return None
     k = len(y)
     # np.tensordot, np.linalg.cholesky and np.linalg.inv without their wrappers

@@ -27,6 +27,8 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
+MIN_SNR_DB = -3000.0  # add_noise's floor: noise power 10^(-snr/10) signal stays finite
+
 
 class GainSchedule:
     """Time-varying feedback u_t = K_t x_t with the value matrices P_t.
@@ -346,9 +348,12 @@ def add_noise(bundle, snr_db_x=None, snr_db_u=None, seed=0):
     y_t = x_t + v_t for t = 2..N (x_1 stays exact), mu_t = u_t + w_t for
     t = 1..N-1. Noise is rescaled so each episode's realized SNR matches the
     request exactly, with signal power averaged over all entries. Each SNR
-    is a number of dB, or None to leave that component untouched.
+    is a number of dB not below MIN_SNR_DB, or None to leave that component
+    untouched.
     """
     snr_x, snr_u = (None if s is None else float(s) for s in (snr_db_x, snr_db_u))
+    if any(s is not None and not s >= MIN_SNR_DB for s in (snr_x, snr_u)):
+        raise DimensionMismatch(f"SNRs must be >= {MIN_SNR_DB:g} dB, got {snr_x} and {snr_u}")
     if snr_x is None and snr_u is None:
         return bundle
     if bundle.kind != "exact":

@@ -266,10 +266,12 @@ def assess(sys, bundle):
     """Full identifiability report for an exact bundle.
 
     Verdict: unique_by_rank on full column rank, else unique_by_thm3 when the
-    second-last states span, else unique_by_dual when the Prop2-style dual
-    certificate passes, else not_determined. The min-norm least-squares
-    solution (q_prime, kept only when the data fit it) and its residual come
-    from the same single factorization of the data matrix.
+    second-last states span and the least-squares solve kept every singular
+    value (a truncated solve returns the min-norm point, not Q), else
+    unique_by_dual when the Prop2-style dual certificate passes, else
+    not_determined. The min-norm least-squares solution (q_prime, kept only
+    when the data fit it) and its residual come from the same single
+    factorization of the data matrix.
     """
     if bundle.kind != "exact":
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
@@ -298,7 +300,7 @@ def assess(sys, bundle):
     if report.full_column_rank:
         report.verdict = "unique_by_rank"
         return report
-    if thm3:
+    if thm3 and keep.sum() == AD.shape[1]:
         report.verdict = "unique_by_thm3"
         return report
     if report.q_prime is not None:

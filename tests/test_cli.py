@@ -469,6 +469,62 @@ def _error_classes():
             if issubclass(c, errors.IocError) and c is not errors.IocError]
 
 
+class TestNumericEdges:
+    """Inputs the seeded mutation test (test_fuzz_inputs.py) found escaping
+    as tracebacks or numpy warnings."""
+
+    def test_negative_seed_is_refused(self, stable_instance, tmp_path):
+        # SeedSequence raised ValueError
+        _, _, spath, cpath = stable_instance
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--system", spath, "--cost", cpath, "--seed=-1",
+                      "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+
+    def test_snr_whose_noise_power_overflows_exits_2(self, stable_instance, tmp_path, capsys):
+        # 10 ** (1e308 / 10) raised OverflowError
+        _, _, spath, cpath = stable_instance
+        out = tmp_path / "d.csv"
+        rc = cli.main(["generate", "--system", spath, "--cost", cpath, "--snr-x=-1e308",
+                       "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_phi_too_small_for_the_barrier_exits_2(self, stable_instance, tmp_path, capsys):
+        # the barrier's 4 / slack^2 raised ZeroDivisionError at phi = 1e-300
+        sys, cost, spath, _ = stable_instance
+        bpath = str(tmp_path / "d.csv")
+        io.save_bundle(io.generate_bundle(sys, cost, 8, 2, seed=0), bpath)
+        rc = cli.main(["estimate", "--system", spath, "--bundle", bpath, "--mode", "risk-x",
+                       "--phi=1e-300", "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: phi must exceed")
+
+    def test_system_entry_with_overflowing_square_exits_2(self, tmp_path, capsys):
+        # B B' overflowed with a warning in the forward solve
+        spath, cpath = tmp_path / "s.json", tmp_path / "c.json"
+        spath.write_text(json.dumps({"n": 2, "m": 1, "A": [[0.9, 0.2], [-0.1, 0.8]],
+                                     "B": [[1e198], [1.0]]}))
+        cpath.write_text(json.dumps({"n": 2, "Q": [[1.0, 0.0], [0.0, 0.5]]}))
+        rc = cli.main(["forward", "--system", str(spath), "--cost", str(cpath), "--x0=1,2",
+                       "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: A and B must have finite entries")
+
+    def test_overflow_in_a_fit_is_a_numerical_failure(self, stable_instance, tmp_path, capsys):
+        # a 1e200 observation overflowed the baseline's quadratic with warnings
+        sys, cost, spath, _ = stable_instance
+        b = io.add_noise(io.generate_bundle(sys, cost, 8, 2, seed=0), 20.0, None, seed=1)
+        X = b.X.copy()
+        X[0, 0, 3] = 1e200
+        bpath = str(tmp_path / "d.csv")
+        io.save_bundle(io.TrajectoryBundle.from_arrays(X, b.U, b.kind, 20.0, None), bpath)
+        rc = cli.main(["estimate", "--system", spath, "--bundle", bpath,
+                       "--mode", "residual-min", "--out", str(tmp_path / "e.json")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: numerical failure: overflow")
+
+
 class TestExitCodes:
     def test_every_error_has_one_base(self):
         bases = (io.ParseError, io.ValidationError, io.SolverError)

@@ -110,6 +110,13 @@ class TestLtiSystem:
             io.LtiSystem(A, B)
         assert exc.value.flag == "non_finite"
 
+    def test_rejects_overflowing_controllability_matrix(self):
+        # A^2 B overflows: numpy warned "overflow encountered in matmul"
+        # while the controllability matrix was built
+        with pytest.raises(io.InvalidSystem) as exc:
+            io.LtiSystem(np.diag([1e200, 2e200, 3e200]), np.ones((3, 1)))
+        assert exc.value.flag == "non_finite"
+
 
 class TestCostMatrix:
     def test_roundtrip_and_symmetry(self):
@@ -155,6 +162,15 @@ class TestCostMatrix:
     def test_rejects_non_finite_entries(self, value):
         Q = 0.5 * np.eye(3)
         Q[1, 1] = value
+        with pytest.raises(io.InvalidCost):
+            io.CostMatrix(Q)
+
+    @pytest.mark.parametrize("value", [1.5e154, 1e200, 1e308])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_huge_entries_before_squaring_them(self, value, where):
+        # the symmetry tolerance's norm overflowed with a numpy warning
+        Q = 0.5 * np.eye(2)
+        Q[where], Q[where[::-1]] = value, value
         with pytest.raises(io.InvalidCost):
             io.CostMatrix(Q)
 
@@ -285,6 +301,36 @@ class TestStorage:
             with pytest.raises(io.ParseError):
                 io.load_cost(p)
         p.write_text(f'{{"n": 1, "m": 1, "A": [[0.5]], "B": [[1.0]], "{key}": {text}}}')
+        with pytest.raises(io.ParseError):
+            io.load_system(p)
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("psd_tol", "true"),  # read as 1.0: diag(1, -0.5) passed the PSD gate
+            ("phi", "true"),  # read as 1
+            ("phi", '"5"'),  # read as 5
+            ("Q", "[[true, 0], [0, 0.5]]"),
+            ("Q", '[[1, "0"], ["0", 0.5]]'),
+            ("Q", "[[1, null], [null, 0.5]]"),
+        ],
+    )
+    def test_cost_numbers_must_be_json_numbers(self, tmp_path, key, text):
+        doc = {"n": 2, "Q": [[1.0, 0.0], [0.0, -0.5 if key == "psd_tol" else 0.5]]}
+        doc[key] = json.loads(text)
+        p = tmp_path / "cost.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(io.ParseError):
+            io.load_cost(p)
+
+    @pytest.mark.parametrize(
+        "key, text", [("A", "[[true, 0], [0, 0.5]]"), ("A", '[[1, "0"], [0, 0.5]]'), ("B", "[[false], [1]]")]
+    )
+    def test_system_entries_must_be_json_numbers(self, tmp_path, key, text):
+        doc = {"n": 2, "m": 1, "A": [[1.0, 0.0], [0.0, 0.5]], "B": [[0.0], [1.0]]}
+        doc[key] = json.loads(text)
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(doc))
         with pytest.raises(io.ParseError):
             io.load_system(p)
 

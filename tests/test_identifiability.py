@@ -337,6 +337,23 @@ class TestAssess:
         report = io.assess(example_instance["sys"], example_instance["bundle"])
         assert report.thm3_holds is None  # M = 1 < n
 
+    @pytest.mark.parametrize("seed", [122, 301])
+    def test_thm3_does_not_vouch_for_a_truncated_solve(self, seed, random_system):
+        # the states span, yet the data matrix's last singular value is
+        # 1e-16..1e-14 of its first: the least-squares solve drops it and
+        # returns the min-norm point, 0.13..0.18 max-abs away from Q
+        rng = np.random.default_rng([2024, seed])
+        n = rng.integers(2, 4)
+        sys = random_system(rng, n)
+        G = rng.standard_normal((n, rng.integers(1, n + 1)))
+        Qbar = G @ G.T * (0.8 / np.linalg.norm(G @ G.T))
+        bundle = io.generate_bundle(sys, io.CostMatrix(Qbar, psd_tol=1e-3), N=30, M=40, seed=seed)
+        report = io.assess(sys, bundle)
+        assert report.thm3_holds is True and not report.full_column_rank
+        assert report.verdict == "not_determined"
+        with pytest.raises(io.NotIdentifiable):
+            io.recover_exact(sys, bundle, report=report)
+
     def test_no_psd_fit_leaves_no_certificate(self):
         # one exact episode of an indefinite cost: its solution family has a
         # 3-dimensional kernel but no PSD member, so the certificate raises
