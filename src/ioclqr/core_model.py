@@ -5,7 +5,6 @@ triangle column-major, and the duplication matrix D satisfies
 vec(S) = D @ vech(S) for symmetric S.
 """
 
-import copy
 import io
 import json
 from dataclasses import dataclass
@@ -226,34 +225,14 @@ KINDS = ("exact", "noisy_state", "noisy_input", "noisy_both")
 class TrajectoryBundle:
     """M episodes of states and inputs over a shared horizon N.
 
-    The data are two stacked read-only arrays, X (M x n x N, columns
-    x_1..x_N) and U (M x m x (N-1)); `episodes` are `Episode` views into
-    them. kind records whether (and where) noise was injected; exact
-    bundles are checked against the dynamics when a system is supplied.
+    The data are two stacked arrays, X (M x n x N, columns x_1..x_N) and U
+    (M x m x (N-1)), kept without a copy and made read-only; `episodes` are
+    `Episode` views into them, built on read. kind records whether (and
+    where) noise was injected; exact bundles are checked against the
+    dynamics when a system is supplied.
     """
 
-    def __init__(self, episodes, N, kind="exact", snr_db_x=None, snr_db_u=None):
-        if not episodes:
-            raise DimensionMismatch("bundle needs at least one episode")
-        n, m = np.shape(episodes[0].x)[0], np.shape(episodes[0].u)[0]
-        for ep in episodes:
-            xs, us = np.shape(ep.x), np.shape(ep.u)
-            if xs != (n, N) or us != (m, N - 1):
-                raise DimensionMismatch(
-                    f"episode shapes {xs}, {us} do not match (n={n}, N={N}, m={m})"
-                )
-        X = np.array([ep.x for ep in episodes], dtype=float)
-        self._adopt(X, np.array([ep.u for ep in episodes], dtype=float), kind, snr_db_x, snr_db_u)
-
-    @classmethod
-    def from_arrays(cls, X, U, kind, snr_db_x, snr_db_u):
-        """Bundle over stacked states X (M x n x N) and inputs U (M x m x (N-1)),
-        which are kept without a copy and made read-only."""
-        out = cls.__new__(cls)
-        out._adopt(X, U, kind, snr_db_x, snr_db_u)
-        return out
-
-    def _adopt(self, X, U, kind, snr_db_x, snr_db_u):
+    def __init__(self, X, U, kind="exact", snr_db_x=None, snr_db_u=None):
         if kind not in KINDS:
             raise DimensionMismatch(f"kind must be one of {KINDS}")
         X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
@@ -265,7 +244,6 @@ class TrajectoryBundle:
         X.setflags(write=False)
         U.setflags(write=False)
         self.X, self.U = X, U
-        self.episodes = tuple(Episode(x, u) for x, u in zip(X, U))
         _, self.n, self.N = X.shape
         self.m = U.shape[1]
         self.kind, self.snr_db_x, self.snr_db_u = kind, snr_db_x, snr_db_u
@@ -273,6 +251,10 @@ class TrajectoryBundle:
     @property
     def M(self):
         return len(self.X)
+
+    @property
+    def episodes(self):
+        return tuple(Episode(x, u) for x, u in zip(self.X, self.U))
 
     def initial_states(self):
         return self.X[:, :, 0].T.copy()  # n x M
@@ -289,12 +271,10 @@ class TrajectoryBundle:
         return worst
 
     def subset(self, M):
-        """First M episodes as a new bundle (shared arrays and episodes)."""
+        """First M episodes as a new bundle over views of X and U."""
         if not 1 <= M <= self.M:
             raise DimensionMismatch(f"M={M} outside 1..{self.M}")
-        out = copy.copy(self)
-        out.X, out.U, out.episodes = self.X[:M], self.U[:M], self.episodes[:M]
-        return out
+        return TrajectoryBundle(self.X[:M], self.U[:M], self.kind, self.snr_db_x, self.snr_db_u)
 
 
 def _fmt(x):
@@ -482,4 +462,4 @@ def load_bundle(path):
         raise ParseError(f"{path}: inputs must be empty at t=N and only there")
     X = np.ascontiguousarray(V[:, :, :n].transpose(0, 2, 1))
     U = np.ascontiguousarray(V[:, :-1, n:].transpose(0, 2, 1))
-    return TrajectoryBundle.from_arrays(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+    return TrajectoryBundle(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)

@@ -339,7 +339,7 @@ def generate_bundle(sys, Q, N, M, init_sampler=None, seed=0):
     x, lam = pmp.solve(_times(sys.A, X0))
     X = np.concatenate([X0[None], x]).transpose(2, 1, 0).copy()
     U = -_times(sys.B.T, lam.transpose(1, 0, 2)).transpose(2, 0, 1).copy()
-    return TrajectoryBundle.from_arrays(X, U, "exact", None, None)
+    return TrajectoryBundle(X, U)
 
 
 def add_noise(bundle, snr_db_x=None, snr_db_u=None, seed=0):
@@ -381,4 +381,4 @@ def add_noise(bundle, snr_db_x=None, snr_db_u=None, seed=0):
             X[i, :, 1:] = _noisy(bundle.X[i, :, 1:], snr_x, rng)
         if snr_u is not None:
             U[i] = _noisy(bundle.U[i], snr_u, rng)
-    return TrajectoryBundle.from_arrays(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+    return TrajectoryBundle(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)

@@ -86,7 +86,7 @@ def example_instance():
     cost = io.CostMatrix(Qbar, psd_tol=1e-4)
     gains = io.solve_riccati(sys, cost, N)
     ep = io.simulate(sys, gains, x0)
-    bundle = io.TrajectoryBundle([ep], N, kind="exact")
+    bundle = io.TrajectoryBundle(ep.x[None], ep.u[None], "exact")
     return {
         "sys": sys,
         "cost": cost,

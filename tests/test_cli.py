@@ -518,7 +518,7 @@ class TestNumericEdges:
         X = b.X.copy()
         X[0, 0, 3] = 1e200
         bpath = str(tmp_path / "d.csv")
-        io.save_bundle(io.TrajectoryBundle.from_arrays(X, b.U, b.kind, 20.0, None), bpath)
+        io.save_bundle(io.TrajectoryBundle(X, b.U, b.kind, 20.0, None), bpath)
         rc = cli.main(["estimate", "--system", spath, "--bundle", bpath,
                        "--mode", "residual-min", "--out", str(tmp_path / "e.json")])
         assert rc == 3

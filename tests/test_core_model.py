@@ -189,40 +189,39 @@ class TestBundle:
         assert b.initial_states().shape == (2, 4)
         sub = b.subset(2)
         assert sub.M == 2
-        assert sub.episodes[0] is b.episodes[0]
-        assert sub.episodes[1] is b.episodes[1]
+        assert np.shares_memory(sub.X, b.X) and np.array_equal(sub.X, b.X[:2])
+        assert np.shares_memory(sub.U, b.U) and np.array_equal(sub.U, b.U[:2])
         with pytest.raises(io.DimensionMismatch):
             b.subset(9)
 
-    def test_from_arrays(self, rich_instance):
+    def test_stacked_arrays(self, rich_instance):
         b = rich_instance["bundle"]
         assert b.X.shape == (4, 2, 9) and b.U.shape == (4, 1, 8)
         for i, ep in enumerate(b.episodes):
             assert np.shares_memory(ep.x, b.X) and np.array_equal(ep.x, b.X[i])
             assert np.shares_memory(ep.u, b.U) and np.array_equal(ep.u, b.U[i])
         X, U = np.array(b.X), np.array(b.U)
-        b2 = io.TrajectoryBundle.from_arrays(X, U, "noisy_state", 10.0, None)
+        b2 = io.TrajectoryBundle(X, U, "noisy_state", 10.0, None)
         assert (b2.M, b2.n, b2.N, b2.m, b2.kind) == (4, 2, 9, 1, "noisy_state")
         assert b2.X is X and not X.flags.writeable and not b2.episodes[0].x.flags.writeable
         for bad in ((X[0], U), (X, U[:, :, 1:]), (X, U[:3]), (X[:0], U[:0])):
             with pytest.raises(io.DimensionMismatch):
-                io.TrajectoryBundle.from_arrays(*bad, "exact", None, None)
+                io.TrajectoryBundle(*bad, "exact", None, None)
         with pytest.raises(io.DimensionMismatch):
-            io.TrajectoryBundle.from_arrays(np.array(b.X), np.array(b.U), "sorta_noisy", None, None)
+            io.TrajectoryBundle(np.array(b.X), np.array(b.U), "sorta_noisy", None, None)
 
     def test_check_dynamics(self, rich_instance):
         b, sys = rich_instance["bundle"], rich_instance["sys"]
         b.check_dynamics(sys)
         ep = b.episodes[0]
-        bad = io.Episode(ep.x + 0.01, ep.u)
-        broken = io.TrajectoryBundle([bad], b.N, kind="exact")
+        broken = io.TrajectoryBundle((ep.x + 0.01)[None], ep.u[None], "exact")
         with pytest.raises(io.DimensionMismatch):
             broken.check_dynamics(sys)
 
     def test_kind_validation(self, rich_instance):
         ep = rich_instance["bundle"].episodes[0]
         with pytest.raises(io.DimensionMismatch):
-            io.TrajectoryBundle([ep], 9, kind="sorta_noisy")
+            io.TrajectoryBundle(ep.x[None], ep.u[None], "sorta_noisy")
 
 
 class TestStorage:
@@ -419,9 +418,8 @@ class TestStorage:
         # n=2, m=1, N=50, M=2000: a 6.4 MB file whose arrays take 2.4 MB;
         # a per-row dict of lists took 80 MB
         rng = np.random.default_rng(50)
-        b = TrajectoryBundle.from_arrays(
-            rng.standard_normal((2000, 2, 50)), rng.standard_normal((2000, 1, 49)),
-            "exact", None, None,
+        b = TrajectoryBundle(
+            rng.standard_normal((2000, 2, 50)), rng.standard_normal((2000, 1, 49)), "exact"
         )
         path = tmp_path / "big.csv"
         io.save_bundle(b, path)
@@ -438,9 +436,8 @@ class TestStorage:
         # n=2, m=1, N=50, M=2000: the stacked records take 3.8 MB; filling the
         # template for the whole file at once peaked at 32 MB
         rng = np.random.default_rng(51)
-        b = TrajectoryBundle.from_arrays(
-            rng.standard_normal((2000, 2, 50)), rng.standard_normal((2000, 1, 49)),
-            "exact", None, None,
+        b = TrajectoryBundle(
+            rng.standard_normal((2000, 2, 50)), rng.standard_normal((2000, 1, 49)), "exact"
         )
         path = tmp_path / "big.csv"
         io.save_bundle(b, path)  # warm-up: imports and caches stay out
@@ -509,7 +506,7 @@ def _oracle_load_bundle(path):
             X[e, :, t - 1] = xs
             if t < N:
                 U[e, :, t - 1] = us
-    return TrajectoryBundle.from_arrays(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+    return TrajectoryBundle(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
 
 
 def _bits(a):
@@ -526,7 +523,7 @@ def test_bundle_io_matches_row_by_row_oracle(tmp_path, n, m, N, M, noise, commen
     special = [-0.0, 1e-310, 1e300, -1e300]
     X.flat[: len(special)] = special[: X.size]
     U.flat[: len(special)] = special[::-1][: U.size]
-    b = TrajectoryBundle.from_arrays(X, U, *noise)
+    b = TrajectoryBundle(X, U, *noise)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     io.save_bundle(b, new, comments=comments)
     _oracle_save_bundle(b, old, comments=comments)

@@ -43,7 +43,7 @@ class TestDataMatrix:
         a, b = 1.1, 0.7
         sys = io.LtiSystem([[a]], [[b]])
         ep = io.simulate(sys, io.solve_riccati(sys, [[0.8]], 4), [2.0])
-        Am = io.build_A_matrix(sys, io.TrajectoryBundle([ep], 4, kind="exact"))
+        Am = io.build_A_matrix(sys, io.TrajectoryBundle(ep.x[None], ep.u[None], "exact"))
         x2, x3 = ep.x[0, 1], ep.x[0, 2]
         np.testing.assert_allclose(Am, [[b * x2 + a * b * x3], [b * x3]], atol=1e-14)
 
@@ -65,9 +65,7 @@ class TestDataMatrix:
         x = np.zeros((1, 5))
         u1 = np.array([[1.0, 2.0, 3.0, 4.0]])
         u2 = np.array([[5.0, 6.0, 7.0, 8.0]])
-        b = io.TrajectoryBundle(
-            [io.Episode(x, u1), io.Episode(x, u2)], 5, kind="exact"
-        )
+        b = io.TrajectoryBundle(np.array([x, x]), np.array([u1, u2]), "exact")
         np.testing.assert_array_equal(
             io.stacked_inputs_rhs(b), [-1.0, -2.0, -3.0, -5.0, -6.0, -7.0]
         )
@@ -362,7 +360,7 @@ class TestAssess:
         sys = io.LtiSystem(rng.standard_normal((3, 3)), rng.standard_normal((3, 1)))
         x0 = rng.uniform(-5, 5, size=3)
         xs, _, us = io.pmp_solve(io.build_pmp_system(sys, np.diag([1.0, 0.5, -0.5]), 5), x0)
-        bundle = io.TrajectoryBundle([io.Episode(np.hstack([x0[:, None], xs]), us)], 5, kind="exact")
+        bundle = io.TrajectoryBundle(np.hstack([x0[:, None], xs])[None], us[None], "exact")
         report = io.assess(sys, bundle)
         assert report.q_prime is not None and report.kernel_dim > 0
         assert report.verdict == "not_determined"
@@ -387,9 +385,9 @@ class TestAssess:
             )
 
     def test_inconsistent_data_leave_no_solution(self, rich_instance):
-        eps = [io.Episode(ep.x, ep.u.copy()) for ep in rich_instance["bundle"].episodes]
-        eps[0].u[0, 1] += 0.5
-        bad = io.TrajectoryBundle(eps, rich_instance["N"], kind="exact")
+        X, U = rich_instance["bundle"].X, np.array(rich_instance["bundle"].U)
+        U[0, 0, 1] += 0.5
+        bad = io.TrajectoryBundle(X, U, "exact")
         report = io.assess(rich_instance["sys"], bad)
         assert report.q_prime is None
         assert report.residual > 1e-8 * max(1.0, np.linalg.norm(io.stacked_inputs_rhs(bad)))

@@ -45,7 +45,9 @@ class TestFullRankRecovery:
         qs = []
         for c in (1.0, 10.0):
             eps = [io.simulate(sys, gains, c * x0) for x0 in inits]
-            b = io.TrajectoryBundle(eps, 8, kind="exact")
+            b = io.TrajectoryBundle(
+                np.array([e.x for e in eps]), np.array([e.u for e in eps]), "exact"
+            )
             qs.append(io.recover_exact(sys, b).Q)
         assert np.linalg.norm(qs[0] - qs[1]) < 1e-8
 
@@ -70,9 +72,9 @@ class TestRecoveryErrors:
     def test_residual_too_large(self, rich_instance):
         # a bump in one input breaks optimality for every cost matrix at once
         # (scaling all inputs would not: c*u is optimal for c*Q)
-        eps = [io.Episode(ep.x, ep.u.copy()) for ep in rich_instance["bundle"].episodes]
-        eps[0].u[0, 1] += 0.5
-        corrupted = io.TrajectoryBundle(eps, rich_instance["N"], kind="exact")
+        X, U = rich_instance["bundle"].X, np.array(rich_instance["bundle"].U)
+        U[0, 0, 1] += 0.5
+        corrupted = io.TrajectoryBundle(X, U, "exact")
         with pytest.raises(io.ResidualTooLarge):
             io.recover_exact(rich_instance["sys"], corrupted)
         # from a report, the error quotes the residual assess measured
@@ -86,12 +88,13 @@ class TestRecoveryErrors:
         rng = np.random.default_rng(54)
         sys = random_system(rng, n=2, m=1)
         Qind = np.diag([1.0, -0.5])
-        eps = []
+        X, U = [], []
         for _ in range(3):
             x0 = rng.uniform(-5, 5, size=2)
             xs, _, us = io.pmp_solve(io.build_pmp_system(sys, Qind, 8), x0)
-            eps.append(io.Episode(np.hstack([x0[:, None], xs]), us))
-        bundle = io.TrajectoryBundle(eps, 8, kind="exact")
+            X.append(np.hstack([x0[:, None], xs]))
+            U.append(us)
+        bundle = io.TrajectoryBundle(np.array(X), np.array(U), "exact")
         with pytest.raises(io.PsdViolation):
             io.recover_exact(sys, bundle)
 

@@ -104,13 +104,12 @@ class TestRiskGradient:
         noisy = io.add_noise(bundle, snr_db_x=15.0, seed=12)
         Qtry = random_psd(rng, 2, scale=0.5)
         pmp = io.build_pmp_system(sys, Qtry, N)
-        doubled = []
-        for ep in noisy.episodes:
+        moved = np.array(noisy.X)
+        for ep, x in zip(noisy.episodes, moved):
             xs, _, _ = io.pmp_solve(pmp, ep.x[:, 0])
             # moving observations to 2*obs - pred doubles pred - obs
-            moved = np.hstack([ep.x[:, :1], 2.0 * ep.x[:, 1:] - xs])
-            doubled.append(io.Episode(moved, ep.u))
-        bundle2 = io.TrajectoryBundle(doubled, N, kind="noisy_state", snr_db_x=15.0)
+            x[:, 1:] = 2.0 * ep.x[:, 1:] - xs
+        bundle2 = io.TrajectoryBundle(moved, noisy.U, "noisy_state", snr_db_x=15.0)
         g1 = io.risk_gradient(io.RiskProblem(sys, noisy, mode="state_obs"), Qtry)
         g2 = io.risk_gradient(io.RiskProblem(sys, bundle2, mode="state_obs"), Qtry)
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-9)
