@@ -321,10 +321,10 @@ def run_benchmark(config, out_dir=None, n_workers=None):
     are independent of scheduling and records are aggregated sorted by
     trial_id. Timing data never enters trials.csv.
     """
-    if n_workers is None:
-        n_workers = default_workers()
+    # a pool starts all its workers at once: it never gets more than trials
+    n_workers = min(default_workers() if n_workers is None else n_workers, config.n_trials)
     jobs = [(config, t) for t in range(config.n_trials)]
-    if n_workers > 1 and config.n_trials > 1:
+    if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             records = list(pool.map(_worker, jobs))
     else:

@@ -10,6 +10,7 @@ a numerical failure (a floating-point overflow or a failed LAPACK call).
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -41,6 +42,8 @@ def _x0_type(text):
         raise argparse.ArgumentTypeError(f"bad x0 {text!r}, want comma-separated floats")
     if not vals:
         raise argparse.ArgumentTypeError("x0 is empty")
+    if not np.isfinite(vals).all():
+        raise argparse.ArgumentTypeError(f"x0 {text!r} is not finite")
     return np.array(vals)
 
 
@@ -61,6 +64,13 @@ def _seed_type(text):
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed {text!r} is negative")
     return seed
+
+
+def _workers_type(text):
+    workers, most = int(text), os.cpu_count() or 1
+    if not 0 <= workers <= most:
+        raise argparse.ArgumentTypeError(f"workers {text!r} is outside 0..{most}")
+    return workers
 
 
 def _glue_x0(argv):
@@ -195,7 +205,8 @@ def build_parser():
     b = sub.add_parser("bench", help="run the Monte-Carlo consistency benchmark")
     b.add_argument("--config", help="benchmark config JSON (defaults used if omitted)")
     b.add_argument("--out-dir", required=True)
-    b.add_argument("--workers", type=int, default=0, help="worker processes (default: cpu count, at most 4)")
+    b.add_argument("--workers", type=_workers_type, default=0,
+                   help="worker processes, 0..cpu count (default 0: cpu count, at most 4)")
     return p
 
 

@@ -281,12 +281,8 @@ def _fmt(x):
     return FLOAT_FMT % x
 
 
-def _matrix_out(Mtx):
-    return [[float(_fmt(v)) for v in row] for row in np.asarray(Mtx, dtype=float)]
-
-
 def save_system(sys, path):
-    doc = {"n": sys.n, "m": sys.m, "A": _matrix_out(sys.A), "B": _matrix_out(sys.B)}
+    doc = {"n": sys.n, "m": sys.m, "A": sys.A.tolist(), "B": sys.B.tolist()}
     write_json(doc, path)
 
 
@@ -339,11 +335,11 @@ def load_system(path):
 
 
 def save_cost(cost, path):
-    doc = {"n": cost.n, "phi": float(_fmt(cost.phi)), "Q": _matrix_out(cost.Q)}
+    doc = {"n": cost.n, "phi": cost.phi, "Q": cost.Q.tolist()}
     # non-default tolerance must survive the round trip (matrices printed to
     # a few decimals sit slightly outside the cone); default stays implicit
     if cost.psd_tol != psd_tol_for(cost.Q):
-        doc["psd_tol"] = float(_fmt(cost.psd_tol))
+        doc["psd_tol"] = cost.psd_tol
     write_json(doc, path)
 
 

@@ -186,8 +186,8 @@ def smoothed_max_eig(Q_sym, epsilon):
     of eigenprojectors (symmetric PSD, unit trace). A utility: the fitting
     core keeps Q PSD with a log-det barrier instead.
     """
-    if epsilon <= 0:
-        raise DimensionMismatch("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise DimensionMismatch(f"epsilon must be positive and finite, got {epsilon!r}")
     Qs = np.asarray(Q_sym, dtype=float)
     w, V = np.linalg.eigh(Qs)
     shifted = (w - w[-1]) / epsilon

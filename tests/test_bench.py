@@ -214,6 +214,32 @@ class TestRunBenchmark:
         bh.run_benchmark(cfg, out_dir=tmp_path, n_workers=2)
         assert (tmp_path / "trials.csv").read_bytes() == (out / "trials.csv").read_bytes()
 
+    def test_pool_never_exceeds_the_trials(self, smoke_run, tmp_path, monkeypatch):
+        # a pool forks all max_workers processes at its first submit; this
+        # in-process stand-in records the size it was asked for and starts none
+        cfg, out, _, _ = smoke_run
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bh, "ProcessPoolExecutor", FakePool)
+        bh.run_benchmark(cfg, out_dir=tmp_path, n_workers=64)
+        assert sizes == [cfg.n_trials] == [2]
+        assert (tmp_path / "trials.csv").read_bytes() == (out / "trials.csv").read_bytes()
+        bh.run_benchmark(bh.BenchConfig(n_trials=1, N=6, M_grid=(3,)), n_workers=64)
+        assert sizes == [2]  # one trial runs serially
+
     def test_timings_schema(self, smoke_run):
         cfg, out, _, _ = smoke_run
         rows = _read_csv(out / "timings.csv")

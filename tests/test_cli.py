@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import os
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ class TestForward:
                       "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert "x0 is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x0", ["nan,1", "inf,1"])
+    def test_non_finite_x0_exits_2(self, stable_instance, tmp_path, capsys, x0):
+        # exited 0 with a CSV that load_bundle refuses ("non-finite value")
+        _, _, spath, cpath = stable_instance
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["forward", "--system", spath, "--cost", cpath, f"--x0={x0}",
+                      "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "is not finite" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -462,6 +474,22 @@ class TestBench:
         cpath.write_text(json.dumps(doc))
         rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("workers", ["-1", "cpu+1", "x"])
+    def test_workers_outside_range_exits_2(self, capsys, workers):
+        # only parses: a pool forks all max_workers processes at its first submit
+        most = os.cpu_count() or 1
+        workers = str(most + 1) if workers == "cpu+1" else workers
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["bench", "--out-dir", "o", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_workers_range_ends_parse(self):
+        most = os.cpu_count() or 1
+        for workers in (0, most):
+            args = cli.build_parser().parse_args(["bench", "--out-dir", "o", f"--workers={workers}"])
+            assert args.workers == workers
 
 
 def _error_classes():

@@ -206,9 +206,9 @@ class TestBundle:
         assert b2.X is X and not X.flags.writeable and not b2.episodes[0].x.flags.writeable
         for bad in ((X[0], U), (X, U[:, :, 1:]), (X, U[:3]), (X[:0], U[:0])):
             with pytest.raises(io.DimensionMismatch):
-                io.TrajectoryBundle(*bad, "exact", None, None)
+                io.TrajectoryBundle(*bad)
         with pytest.raises(io.DimensionMismatch):
-            io.TrajectoryBundle(np.array(b.X), np.array(b.U), "sorta_noisy", None, None)
+            io.TrajectoryBundle(np.array(b.X), np.array(b.U), "sorta_noisy")
 
     def test_check_dynamics(self, rich_instance):
         b, sys = rich_instance["bundle"], rich_instance["sys"]

@@ -7,7 +7,9 @@ Whatever the input, the command must end in one of the documented ways: exit
 code 0, 1, 2 or 3, with 1 only for ParseError and OSError, a message on
 stderr that starts with "error:" for every non-zero code, no traceback and
 no warning. argparse's own rejection of an option value (SystemExit 2, its
-usage text on stderr) also counts as a documented end.
+usage text on stderr) also counts as a documented end. A file written by a
+command that exits 0 must read back: a trajectory CSV through load_bundle, a
+report or estimate JSON through a JSON parser that refuses NaN and Infinity.
 """
 
 import builtins
@@ -120,6 +122,19 @@ def _case(seed, clean, tmp):
     return argv + ["--bundle", str(bundle), "--mode", mode] + pick("--phi") + out
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON number {token}")
+
+
+def read_back(command, path):
+    """Load what `command` wrote to path as its reader would; raises if it
+    does not read back."""
+    if command in ("forward", "generate"):
+        io.load_bundle(path)
+    elif command in ("identify", "estimate"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_input_ends_in_a_documented_way(seed, clean_inputs, tmp_path, capsys, monkeypatch):
     argv = _case(seed, clean_inputs, tmp_path)
@@ -146,6 +161,7 @@ def test_every_input_ends_in_a_documented_way(seed, clean_inputs, tmp_path, caps
         assert rc == 2 and err.startswith("usage:") and ": error: " in err, argv
     elif rc == 0:
         assert err == "", argv
+        read_back(argv[0], tmp_path / "out")
     else:
         assert err.startswith("error:") and len(raised) == 1, f"{argv}: {err!r}"
         assert (rc == 1) == isinstance(raised[0], (io.ParseError, OSError)), f"{argv}: {raised[0]!r}"

@@ -151,8 +151,10 @@ class TestSmoothedMaxEig:
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(io.DimensionMismatch):
-            io.smoothed_max_eig(np.eye(2), 0.0)
+        # NaN passed an `epsilon <= 0` test and returned NaN; inf returned inf
+        for eps in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(io.DimensionMismatch):
+                io.smoothed_max_eig(np.eye(2), eps)
 
 
 class TestEstimate:
