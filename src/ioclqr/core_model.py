@@ -225,11 +225,11 @@ KINDS = ("exact", "noisy_state", "noisy_input", "noisy_both")
 class TrajectoryBundle:
     """M episodes of states and inputs over a shared horizon N.
 
-    The data are two stacked arrays, X (M x n x N, columns x_1..x_N) and U
-    (M x m x (N-1)), kept without a copy and made read-only; `episodes` are
-    `Episode` views into them, built on read. kind records whether (and
-    where) noise was injected; exact bundles are checked against the
-    dynamics when a system is supplied.
+    The data are two stacked arrays of finite values, X (M x n x N, columns
+    x_1..x_N) and U (M x m x (N-1)), kept without a copy and made read-only;
+    `episodes` are `Episode` views into them, built on read. kind records
+    whether (and where) noise was injected; exact bundles are checked
+    against the dynamics when a system is supplied.
     """
 
     def __init__(self, X, U, kind="exact", snr_db_x=None, snr_db_u=None):
@@ -241,6 +241,8 @@ class TrajectoryBundle:
             raise DimensionMismatch(
                 f"stacked shapes {X.shape}, {U.shape} are not M x n x N and M x m x (N-1)"
             )
+        if not (np.isfinite(X).all() and np.isfinite(U).all()):
+            raise DimensionMismatch("X and U must have finite entries")
         X.setflags(write=False)
         U.setflags(write=False)
         self.X, self.U = X, U

@@ -2,9 +2,9 @@
 
 The stacked linear system ties vech(Q) to the observed inputs; with full
 column rank a least-squares solve recovers Q directly, and in the certified
-rank-deficient case the unique PSD point on the solution affine set is found
-by maximizing the smallest eigenvalue along the kernel directions, on the
-dual certificate's run of the noisy fits' log-barrier path.
+rank-deficient case the unique PSD point on the solution affine set is the
+maximizer of the smallest eigenvalue along the kernel directions, read off
+the path end that the dual certificate solved for (`Prop2Record.end`).
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import scipy.linalg as sla
 
 from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
 from .errors import AmbiguousSolution, NotIdentifiable, ResidualTooLarge
-from .identifiability import _max_min_eig, assess
+from .identifiability import assess, prop2_certificate
 
 WIDTH_SPAN = 1e3  # cap on each side of a `_feasible_width`
 
@@ -69,8 +69,9 @@ def _feasible_width(Q_star, E, level):
 def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     """Pick the unique PSD point on the solution affine set.
 
-    Maximizes lam_min(Q' + sum alpha_k dQ_k) on the certificate's barrier
-    path, re-solved from the report's q_prime. An AmbiguousSolution error
+    Reads the maximizer of lam_min(Q' + sum alpha_k dQ_k) off the end of the
+    report's certificate path; a report without a certificate gets one from
+    prop2_certificate, as assess would. An AmbiguousSolution error
     means the maximum is unbounded or flat, or the feasible alpha set is
     wider along some direction than the certificate allows.
     """
@@ -79,8 +80,8 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     if report.verdict != "unique_by_dual":
         raise NotIdentifiable(f"kernel recovery needs unique_by_dual, got {report.verdict}")
     q_prime = _fitted_solution(report)
+    end = (report.prop2 or prop2_certificate(q_prime, report.kernel_basis)).end
     kernel = np.asarray(report.kernel_basis)
-    end = _max_min_eig(q_prime, kernel)
     if not end.bounded:
         raise AmbiguousSolution("lam_min keeps its maximum along a ray or a segment of alphas")
 
@@ -91,13 +92,13 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     # unique then, and the cost tolerance is relaxed at construction below.
     amb_tol = 1e-8 * max(1.0, float(np.linalg.norm(q_prime)))
     # widths are measured along the eigenvectors of the path's end curvature
-    # (`_max_min_eig`): a feasible segment through alpha* lies along its flattest
-    # direction, oblique to the kernel coordinates or not. Each width is read
-    # off one generalized eigenproblem (`_feasible_width`), so the barrier
-    # path is nearly all of a recovery's cost. A 100-fold tighter level
-    # shrinks the width 100-fold where lam_min falls off linearly (a sharp
-    # maximum), 10-fold where it falls off quadratically, not at all along a
-    # flat segment; only the sharp maximum passes
+    # (`_PathEnd.curvature`): a feasible segment through alpha* lies along
+    # its flattest direction, oblique to the kernel coordinates or not. Each
+    # width is read off one generalized eigenproblem (`_feasible_width`). A
+    # 100-fold tighter level shrinks the width 100-fold where lam_min falls
+    # off linearly (a sharp maximum), 10-fold where it falls off
+    # quadratically, not at all along a flat segment; only the sharp maximum
+    # passes
     for k, e in enumerate(np.linalg.eigh(end.curvature)[1].T):
         E = np.tensordot(e, kernel, 1)
         wide, tight = (_feasible_width(Q_star, E, level) for level in (amb_tol, 0.01 * amb_tol))
@@ -106,7 +107,6 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
                 f"feasible alphas spread over {wide:.3e} (> 1e-6) along curvature direction {k}, "
                 f"{tight:.3e} at a 100-fold tighter level"
             )
-    Qm = 0.5 * (Q_star + Q_star.T)
     # the achieved max lam_min certifies how PSD this data can get; accept it
-    tol = max(psd_tol_for(Qm), 1.5 * abs(min(end.lam, 0.0)))
-    return CostMatrix(Qm, phi=phi, psd_tol=tol)
+    tol = max(psd_tol_for(Q_star), 1.5 * abs(min(end.lam, 0.0)))
+    return CostMatrix(Q_star, phi=phi, psd_tol=tol)

@@ -2,10 +2,11 @@
 
 Chain of tests, cheapest first: full column rank of the stacked data matrix,
 the second-last-state spanning condition, and finally a dual-SDP
-non-degeneracy certificate for the rank-deficient case. The certificate and
-the kernel recovery in estimate_noiseless solve max lam_min(Q' + sum alpha_k
-dQ_k) on the noisy fits' log-barrier path (`estimate_noisy._barrier_path`)
-and read its trace-normalized dual off that path's tau cuts.
+non-degeneracy certificate for the rank-deficient case. The certificate
+solves max lam_min(Q' + sum alpha_k dQ_k) once, on the noisy fits'
+log-barrier path (`estimate_noisy._barrier_path`), reads its trace-normalized
+dual off that path's tau cuts and keeps the path's end, whose maximizer the
+kernel recovery in estimate_noiseless reads.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ PROP2_PRECISION = 1e-3
 
 @dataclass
 class Prop2Record:
+    """The dual certificate and the max lam_min path end it was read from,
+    whose maximizer kernel recovery reads off `end`."""
+
     Phi_star: np.ndarray  # trace-n dual point where the path's gap first met the zero level
     rank_Phi: int
     intersection_trivial: bool
@@ -36,8 +40,15 @@ class Prop2Record:
     # is this plus the (larger) gap at the point Phi_star was taken
     dual_value: float
     max_violation: float
-    n_iter: int  # Newton steps of the barrier path; 0 when I is in span{dQ_k}
-    gap: float  # duality gap where the path stopped; inf when it found no bound
+    end: "_PathEnd"
+
+    @property
+    def n_iter(self):  # Newton steps of the barrier path; 0 when I is in span{dQ_k}
+        return self.end.n_steps
+
+    @property
+    def gap(self):  # duality gap where the path stopped; inf when it found no bound
+        return self.end.gap
 
 
 class _PathEnd(NamedTuple):
@@ -257,8 +268,7 @@ def prop2_certificate(Q_prime, kernel_basis):
         intersection_trivial=trivial,
         dual_value=value,
         max_violation=float(np.abs(viol).max()),
-        n_iter=end.n_steps,
-        gap=end.gap,
+        end=end,
     )
 
 

@@ -210,6 +210,19 @@ class TestBundle:
         with pytest.raises(io.DimensionMismatch):
             io.TrajectoryBundle(np.array(b.X), np.array(b.U), "sorta_noisy")
 
+    def test_non_finite_entries_refused(self, rich_instance):
+        b, sys = rich_instance["bundle"], rich_instance["sys"]
+        for bad, where in ((np.nan, "X"), (np.inf, "X"), (-np.inf, "U")):
+            X, U = np.array(b.X), np.array(b.U)
+            {"X": X, "U": U}[where][1, 0, 3] = bad
+            with pytest.raises(io.DimensionMismatch, match="finite"):
+                io.TrajectoryBundle(X, U)
+        # a library caller's non-finite initial state stops at the bundle,
+        # before save_bundle can write a file that load_bundle refuses
+        with pytest.raises(io.DimensionMismatch, match="finite"):
+            io.generate_bundle(sys, rich_instance["cost"], N=8, M=2,
+                               init_sampler=lambda rng: np.array([np.nan, 1.0]))
+
     def test_check_dynamics(self, rich_instance):
         b, sys = rich_instance["bundle"], rich_instance["sys"]
         b.check_dynamics(sys)

@@ -43,7 +43,8 @@ COST = {"n": 2, "phi": 5.0, "Q": [[1.0, 0.2], [0.2, 0.5]]}
 BENCH = {"n_trials": 1, "N": 6, "M_grid": [2], "snr_db_x": 15.0, "snr_db_u": 20.0,
          "phi": 5.0, "dt": 0.1, "master_seed": 0}
 
-SEEDS = range(300)
+SEEDS = range(360)
+EXAMPLE_SEEDS = range(300, 360)  # identify and estimate --mode exact on the worked example
 
 
 def mutate(data, rng):
@@ -68,19 +69,23 @@ def mutate(data, rng):
 
 
 @pytest.fixture(scope="module")
-def clean_inputs(tmp_path_factory):
+def clean_inputs(tmp_path_factory, example_instance):
     """Valid files for every input: system, cost, an exact bundle and a
-    noisy one (N=8, M=3) and a benchmark config."""
+    noisy one (N=8, M=3) and a benchmark config, and the worked example's
+    system and rank-deficient exact bundle (N=15, M=1)."""
     d = tmp_path_factory.mktemp("clean")
     sys_ = io.LtiSystem(SYSTEM["A"], SYSTEM["B"])
     exact = io.generate_bundle(sys_, io.CostMatrix(COST["Q"]), N=8, M=3, seed=0)
     paths = {"system": d / "sys.json", "cost": d / "cost.json", "exact": d / "exact.csv",
-             "noisy": d / "noisy.csv", "bench": d / "bench.json"}
+             "noisy": d / "noisy.csv", "bench": d / "bench.json",
+             "example_system": d / "example_sys.json", "example": d / "example.csv"}
     paths["system"].write_text(json.dumps(SYSTEM))
     paths["cost"].write_text(json.dumps(COST))
     paths["bench"].write_text(json.dumps(BENCH))
     io.save_bundle(exact, paths["exact"])
     io.save_bundle(io.add_noise(exact, 20.0, 25.0, seed=1), paths["noisy"])
+    io.save_system(example_instance["sys"], paths["example_system"])
+    io.save_bundle(example_instance["bundle"], paths["example"])
     return {k: p.read_bytes() for k, p in paths.items()}
 
 
@@ -88,16 +93,19 @@ def _case(seed, clean, tmp):
     """The argv of case `seed`, after writing its input files, at most one of
     them mutated."""
     rng = np.random.default_rng([17, seed])
-    command = ["forward", "generate", "identify", "estimate", "bench"][seed % 5]
-    inputs = {"forward": ["system", "cost"], "generate": ["system", "cost"],
-              "identify": ["system", "exact"], "bench": ["bench"]}.get(command)
+    if seed in EXAMPLE_SEEDS:  # reaches prop2_certificate and the kernel recovery
+        command, inputs = ["identify", "estimate"][seed % 2], ["example_system", "example"]
+    else:
+        command = ["forward", "generate", "identify", "estimate", "bench"][seed % 5]
+        inputs = {"forward": ["system", "cost"], "generate": ["system", "cost"],
+                  "identify": ["system", "exact"], "bench": ["bench"]}.get(command)
     if inputs is None:
         inputs = ["system", rng.choice(["exact", "noisy"])]
     target = ([None] + inputs)[rng.integers(len(inputs) + 1)]
     files = {}
     for name in inputs:
         data = mutate(clean[name], rng) if name == target else clean[name]
-        files[name] = tmp / (name + (".csv" if name in ("exact", "noisy") else ".json"))
+        files[name] = tmp / (name + (".csv" if name in ("exact", "noisy", "example") else ".json"))
         files[name].write_bytes(data)
 
     def pick(option):
@@ -108,7 +116,7 @@ def _case(seed, clean, tmp):
     if command == "bench":
         return ["bench", "--config", str(files["bench"]), "--out-dir", str(tmp / "bench"),
                 "--workers", "1"]
-    argv = [command, "--system", str(files["system"])]
+    argv = [command, "--system", str(files[inputs[0]])]
     if command in ("forward", "generate"):
         argv += ["--cost", str(files["cost"])] + pick("--horizon")
     if command == "forward":
@@ -118,7 +126,8 @@ def _case(seed, clean, tmp):
     bundle = files[inputs[1]]
     if command == "identify":
         return argv + ["--bundle", str(bundle)] + out
-    mode = ["exact", "risk-x", "risk-u", "residual-min"][rng.integers(4)]
+    modes = ["exact"] if seed in EXAMPLE_SEEDS else ["exact", "risk-x", "risk-u", "residual-min"]
+    mode = modes[rng.integers(len(modes))]
     return argv + ["--bundle", str(bundle), "--mode", mode] + pick("--phi") + out
 
 

@@ -166,11 +166,13 @@ class TestKernelRecovery:
         base = io.recover_with_kernel(
             example_instance["sys"], example_instance["bundle"], report
         )
+        # the report's certificate belongs to the unshifted q_prime; without
+        # one, recovery solves the path from the shifted point
         shifted = io.IdentifiabilityReport(
             rank_AD=report.rank_AD,
             kernel_basis=report.kernel_basis,
             thm3_holds=report.thm3_holds,
-            prop2=report.prop2,
+            prop2=None,
             verdict=report.verdict,
             q_prime=report.q_prime - 3.0 * report.kernel_basis[0],
         )
@@ -345,23 +347,28 @@ def test_widths_match_a_bisection_oracle(monkeypatch, example_instance, rich_ins
     assert len(seen) >= 2 * (1 + 32 + 3) and sum(w > 1e-6 for w in seen) >= 16
 
 
+def _count_calls(monkeypatch, fn_name):
+    """A list that grows by one at each call of identifiability.<fn_name>."""
+    calls = []
+    orig = getattr(identifiability, fn_name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    # rebind every module-level reference, wherever it was imported
+    for name, mod in list(modules.items()):
+        if name.split(".")[0] == "ioclqr" and getattr(mod, fn_name, None) is orig:
+            monkeypatch.setattr(mod, fn_name, counted)
+    return calls
+
+
 class TestNoRebuild:
     """assess builds and factors the data matrix; recovery reuses its report."""
 
     @pytest.fixture
     def build_calls(self, monkeypatch):
-        calls = []
-        orig = identifiability.build_A_matrix
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
-
-        # rebind every module-level reference, wherever it was imported
-        for name, mod in list(modules.items()):
-            if name.split(".")[0] == "ioclqr" and getattr(mod, "build_A_matrix", None) is orig:
-                monkeypatch.setattr(mod, "build_A_matrix", counted)
-        return calls
+        return _count_calls(monkeypatch, "build_A_matrix")
 
     def test_recovery_from_report_builds_nothing(self, build_calls, rich_instance, example_instance):
         for inst in (rich_instance, example_instance):
@@ -382,3 +389,32 @@ class TestNoRebuild:
         )
         assert rc == 0
         assert len(build_calls) == 1
+
+
+class TestOnePathPerReport:
+    """The certificate in assess solves the max lam_min path once; kernel
+    recovery reads that path's end off the report."""
+
+    @pytest.fixture
+    def path_calls(self, monkeypatch):
+        return _count_calls(monkeypatch, "_max_min_eig")
+
+    def test_cli_exact_estimate_runs_one_path(self, path_calls, example_instance, tmp_path):
+        spath, bpath = str(tmp_path / "sys.json"), str(tmp_path / "data.csv")
+        io.save_system(example_instance["sys"], spath)
+        io.save_bundle(example_instance["bundle"], bpath)
+        rc = cli.main(
+            ["estimate", "--system", spath, "--bundle", bpath, "--mode", "exact",
+             "--out", str(tmp_path / "est.json")]
+        )
+        assert rc == 0
+        assert len(path_calls) == 1
+
+    @pytest.mark.parametrize("recover", ["recover_exact", "recover_with_kernel"])
+    def test_recovery_from_report_runs_no_path(self, path_calls, example_instance, recover):
+        sys_, bundle = example_instance["sys"], example_instance["bundle"]
+        report = io.assess(sys_, bundle)
+        assert report.verdict == "unique_by_dual" and len(path_calls) == 1
+        path_calls.clear()
+        getattr(io, recover)(sys_, bundle, report=report)
+        assert len(path_calls) == 0
