@@ -279,10 +279,6 @@ class TrajectoryBundle:
         return TrajectoryBundle(self.X[:M], self.U[:M], self.kind, self.snr_db_x, self.snr_db_u)
 
 
-def _fmt(x):
-    return FLOAT_FMT % x
-
-
 def save_system(sys, path):
     doc = {"n": sys.n, "m": sys.m, "A": sys.A.tolist(), "B": sys.B.tolist()}
     write_json(doc, path)
@@ -370,8 +366,7 @@ def save_bundle(bundle, path, comments=()):
     extra comment lines (settings echoes) are skipped by the loader.
     """
     n, m, N, M = bundle.n, bundle.m, bundle.N, bundle.M
-    sx = "none" if bundle.snr_db_x is None else _fmt(bundle.snr_db_x)
-    su = "none" if bundle.snr_db_u is None else _fmt(bundle.snr_db_u)
+    sx, su = ("none" if s is None else FLOAT_FMT % s for s in (bundle.snr_db_x, bundle.snr_db_u))
     head = f"# kind={bundle.kind},snr_db_x={sx},snr_db_u={su}\n"
     head += "".join(f"# {line}\n" for line in comments)
     row = "%d,%d" + ("," + FLOAT_FMT) * n
@@ -401,30 +396,23 @@ def load_bundle(path):
         raise ParseError(f"{path}: {e}") from e
     if not text or text.isspace():
         raise ParseError(f"{path}: empty file")
-    kind, snr_x, snr_u = "exact", None, None
-    start = 0
+    meta, start = {}, 0
     while True:
         end = text.find("\n", start) + 1 or len(text)
         line = text[start:end].rstrip("\n")
         if not line.startswith("#"):
             break
-        for part in line.lstrip("# ").strip().split(","):
-            if "=" not in part:
-                continue
-            key, val = part.split("=", 1)
-            key, val = key.strip(), val.strip()
-            if key == "kind" and val in KINDS:
-                kind = val
-            elif key in ("snr_db_x", "snr_db_u") and val != "none":
-                try:
-                    v = float(val)
-                except ValueError:
-                    raise ParseError(f"{path}: bad metadata value {val!r}")
-                if key == "snr_db_x":
-                    snr_x = v
-                else:
-                    snr_u = v
+        pairs = (part.split("=", 1) for part in line.lstrip("# ").split(",") if "=" in part)
+        meta.update((key.strip(), val.strip()) for key, val in pairs)
         start = end
+    kind = meta.get("kind", "exact")
+    if kind not in KINDS:
+        raise ParseError(f"{path}: unknown kind {kind!r}, expected one of {KINDS}")
+    snr = [meta.get(key, "none") for key in ("snr_db_x", "snr_db_u")]
+    try:
+        snr_x, snr_u = (None if val == "none" else float(val) for val in snr)
+    except ValueError as e:
+        raise ParseError(f"{path}: bad metadata value ({e})") from e
     header = line.split(",")
     n = sum(h.startswith("x") for h in header)
     m = len(header) - 2 - n

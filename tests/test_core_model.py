@@ -421,6 +421,21 @@ class TestStorage:
         with pytest.raises(io.ParseError, match="x.csv"):
             io.load_bundle(p)
 
+    @pytest.mark.parametrize("meta", [b"# kind=noisy_sttae,snr_db_x=15,snr_db_u=none\n",
+                                      b"# kind=noisy_state\n# kind=bogus\n", b"# kind=\n"])
+    def test_bundle_refuses_unknown_kind(self, tmp_path, meta):
+        p = tmp_path / "x.csv"
+        p.write_bytes(meta + b"episode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n")
+        with pytest.raises(io.ParseError, match="x.csv: unknown kind"):
+            io.load_bundle(p)
+
+    def test_bundle_metadata_later_key_wins(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"# kind=noisy_both,snr_db_x=15,snr_db_u=20\n# free text, snr_db_x = none\n"
+                      b"# kind=noisy_input\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n")
+        b = io.load_bundle(p)
+        assert (b.kind, b.snr_db_x, b.snr_db_u) == ("noisy_input", None, 20.0)
+
     def test_bundle_reads_unterminated_last_row_and_crlf(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_bytes(b"# kind=exact\r\nepisode,t,x1,u1\r\n1,1,0.5,0.1\r\n\r\n1,2,0.4,")
