@@ -70,7 +70,8 @@ def estimate_rm(sys, bundle, phi=DEFAULT_PHI, max_iters=2000):
     method = "residual_minimization"
     W, v, c0 = _reduced_quadratic(sys, bundle)
     data_scale = max(float(np.sum(bundle.X**2) + np.sum(bundle.U**2)), 1.0)
-    if np.linalg.norm(W) <= 1e-14 * data_scale and np.linalg.norm(v) <= 1e-14 * data_scale:
+    # scaled before the norms, which square W's entries (~ the data's squares)
+    if np.linalg.norm(W / data_scale) <= 1e-14 and np.linalg.norm(v / data_scale) <= 1e-14:
         return EstimateResult(
             CostMatrix(np.eye(n), phi=phi), method=method, degenerate=True, config=config
         )

@@ -553,6 +553,25 @@ class TestNumericEdges:
         assert capsys.readouterr().err.startswith("error: numerical failure: overflow")
 
 
+    @pytest.mark.parametrize("value", [1e100, 1e150])
+    def test_residual_min_fits_where_the_risk_fits_do(self, tmp_path, capsys, value):
+        # the zero-information test's norm squared W's entries and overflowed
+        # (exit 3) on the n=2 system of test_fuzz_inputs.py
+        sys_ = io.LtiSystem([[0.9, 0.2], [-0.1, 0.8]], [[0.0], [1.0]])
+        exact = io.generate_bundle(sys_, io.CostMatrix([[1.0, 0.2], [0.2, 0.5]]), 8, 3, seed=0)
+        b = io.add_noise(exact, 20.0, 25.0, seed=1)
+        X = b.X.copy()
+        X[1, 0, 3] = value
+        spath, bpath = tmp_path / "s.json", tmp_path / "d.csv"
+        io.save_system(sys_, spath)
+        io.save_bundle(io.TrajectoryBundle(X, b.U, b.kind, 20.0, 25.0), bpath)
+        for mode in ("risk-x", "risk-u", "residual-min"):
+            out = tmp_path / f"{mode}.json"
+            rc = cli.main(["estimate", "--system", str(spath), "--bundle", str(bpath),
+                           "--mode", mode, "--out", str(out)])
+            assert rc == 0 and out.exists(), (mode, capsys.readouterr().err)
+
+
 class TestExitCodes:
     def test_every_error_has_one_base(self):
         bases = (io.ParseError, io.ValidationError, io.SolverError)
