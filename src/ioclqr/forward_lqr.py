@@ -315,10 +315,14 @@ def inputs_from_states(sys, x):
     return u, resid
 
 
-def _as_seedseq(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+def _episode_rngs(seed, M):
+    """One generator per episode from seed (anything SeedSequence takes, or
+    a SeedSequence): child i is built as the first `spawn` would build it,
+    but without advancing seed's spawn counter, so the same seed object
+    gives the same streams on every call."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.default_rng(np.random.SeedSequence(
+        ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)) for i in range(M)]
 
 
 def generate_bundle(sys, Q, N, M, init_sampler=None, seed=0):
@@ -332,7 +336,7 @@ def generate_bundle(sys, Q, N, M, init_sampler=None, seed=0):
     pmp = BandedPmp(sys, Q, N)
     if init_sampler is None:
         init_sampler = lambda rng: rng.uniform(-5.0, 5.0, size=sys.n)
-    draws = [init_sampler(np.random.default_rng(ss)) for ss in _as_seedseq(seed).spawn(M)]
+    draws = [init_sampler(rng) for rng in _episode_rngs(seed, M)]
     X0 = np.array(draws, dtype=float).reshape(M, -1).T
     if X0.shape[0] != sys.n:
         raise DimensionMismatch(f"x0 has {X0.shape[0]} entries, system has n={sys.n}")
@@ -375,8 +379,7 @@ def add_noise(bundle, snr_db_x=None, snr_db_u=None, seed=0):
         return sig + v
 
     X, U = bundle.X.copy(), bundle.U.copy()
-    for i, ss in enumerate(_as_seedseq(seed).spawn(bundle.M)):
-        rng = np.random.default_rng(ss)
+    for i, rng in enumerate(_episode_rngs(seed, bundle.M)):
         if snr_x is not None:
             X[i, :, 1:] = _noisy(bundle.X[i, :, 1:], snr_x, rng)
         if snr_u is not None:

@@ -356,6 +356,25 @@ class TestAddNoise:
         assert not np.array_equal(n1.episodes[0].x, n3.episodes[0].x)
 
 
+def test_one_seed_object_gives_the_same_data_on_every_call():
+    # SeedSequence.spawn advances a counter on the object it is called on,
+    # so a second call with the same object drew other streams
+    cfg = BenchConfig(N=20, M_grid=(3,))
+    sys, cost, init_ss, noise_ss = sample_instance(cfg, 0)
+    _, _, init_fresh, noise_fresh = sample_instance(cfg, 0)
+    # the streams are those the first spawn of a fresh seed hands out
+    x0 = [np.random.default_rng(ss).uniform(-5.0, 5.0, 2) for ss in init_fresh.spawn(3)]
+    want = generate_bundle(sys, cost, 20, 3, seed=sample_instance(cfg, 0)[2])
+    np.testing.assert_array_equal(want.X[:, :, 0], x0)
+    want_noisy = add_noise(want, 15.0, 20.0, seed=noise_fresh)
+    for _ in range(2):
+        b = generate_bundle(sys, cost, 20, 3, seed=init_ss)
+        nb = add_noise(b, 15.0, 20.0, seed=noise_ss)
+        np.testing.assert_array_equal(b.X, want.X)
+        np.testing.assert_array_equal(nb.X, want_noisy.X)
+        np.testing.assert_array_equal(nb.U, want_noisy.U)
+
+
 def _riccati_two_solves(sys, Q, N):
     """The recursion with the gain solve repeated inside the P update."""
     import scipy.linalg as sla
