@@ -21,7 +21,8 @@ import scipy
 import scipy.linalg as sla
 
 from .baseline_rm import estimate_rm
-from .core_model import CostMatrix, FLOAT_FMT, LtiSystem, ball_radius_ok, json_matrix, write_json
+from .core_model import (CostMatrix, FLOAT_FMT, LtiSystem, ball_radius_ok, json_matrix,
+                         json_object, write_json)
 from .errors import InvalidSystem, ParseError, RejectionBudgetExceeded
 from .estimate_noisy import RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
@@ -72,12 +73,13 @@ class BenchConfig:
     def from_json(cls, doc):
         """Config from a parsed JSON document; a document of the wrong shape
         raises ParseError."""
-        if not isinstance(doc, dict):
-            raise ParseError("benchmark config must be a JSON object")
-        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name != "system" and f.name in doc}
+        # run_benchmark writes the numeric environment into config.json too
+        names = [f.name for f in fields(cls)]
+        doc = json_object(doc, "benchmark config", names + ["environment"])
+        kwargs = {name: doc[name] for name in names if name != "system" and name in doc}
         try:
             if doc.get("system") is not None:
-                s = doc["system"]
+                s = json_object(doc["system"], "benchmark config system", ("A", "B"))
                 kwargs["system"] = LtiSystem(json_matrix(s["A"], "A"), json_matrix(s["B"], "B"))
             return cls(**kwargs)
         except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -301,6 +301,17 @@ def read_json(path):
         raise ParseError(f"{path}: {e}") from e
 
 
+def json_object(doc, where, keys):
+    """doc, which must be a JSON object whose keys are all in keys; anything
+    else, a misspelt key included, raises ParseError naming where."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {unknown}; the keys read are {sorted(keys)}")
+    return doc
+
+
 def json_number(value, key, kind=(int, float)):
     """value, which must be a JSON number (a JSON integer for kind=int);
     anything else, a bool, a string or a null included, raises TypeError."""
@@ -319,7 +330,7 @@ def json_matrix(value, key):
 
 
 def load_system(path):
-    doc = read_json(path)
+    doc = json_object(read_json(path), path, ("n", "m", "A", "B"))
     try:
         A, B = json_matrix(doc["A"], "A"), json_matrix(doc["B"], "B")
         n, m = json_number(doc["n"], "n", int), json_number(doc["m"], "m", int)
@@ -342,7 +353,7 @@ def save_cost(cost, path):
 
 
 def load_cost(path):
-    doc = read_json(path)
+    doc = json_object(read_json(path), path, ("n", "phi", "Q", "psd_tol"))
     try:
         Q, n = json_matrix(doc["Q"], "Q"), json_number(doc["n"], "n", int)
         phi = float(json_number(doc.get("phi", DEFAULT_PHI), "phi"))
@@ -362,8 +373,9 @@ def save_bundle(bundle, path, comments=()):
     """Trajectory CSV: header `episode,t,x1..xn,u1..um`, CRLF-terminated rows,
     u columns empty at t=N.
 
-    A comment line carries kind and SNR metadata so noisy bundles round-trip;
-    extra comment lines (settings echoes) are skipped by the loader.
+    The first comment line holds the metadata as key=value pairs, kind,
+    snr_db_x and snr_db_u (a number or none), so noisy bundles round-trip;
+    each extra comment line (settings echoes) follows it as `# line`.
     """
     n, m, N, M = bundle.n, bundle.m, bundle.N, bundle.M
     sx, su = ("none" if s is None else FLOAT_FMT % s for s in (bundle.snr_db_x, bundle.snr_db_u))
@@ -385,10 +397,14 @@ def save_bundle(bundle, path, comments=()):
 
 
 def load_bundle(path):
-    """Inverse of save_bundle. Raises ParseError, naming the file, unless the
-    header is exactly `episode,t,x1..xn,u1..um`, every row has that many
-    fields, episode and t are integers, each episode holds t = 1..N once,
-    every value is finite and inputs are empty exactly at t = N."""
+    """Inverse of save_bundle. The metadata is the comma-separated key=value
+    pairs of the leading `#` lines, a later key winning; only kind (default
+    exact) and snr_db_x and snr_db_u (default none) are read. Raises
+    ParseError, naming the file, unless kind is one of KINDS, each SNR is
+    none or a number, the header is exactly `episode,t,x1..xn,u1..um`, every
+    row has that many fields, episode and t are integers, each episode holds
+    t = 1..N once, every value is finite and inputs are empty exactly at
+    t = N."""
     try:
         with open(path) as fh:
             text = fh.read()

@@ -265,6 +265,14 @@ class TestRunBenchmark:
         assert back.system is not sys
         assert back != bh.BenchConfig(n_trials=1, N=6, M_grid=(3,), master_seed=5)
 
+    @pytest.mark.parametrize("doc", [{"n_trails": 100},
+                                     {"N": 6, "system": {"A": [[0.5]], "B": [[1.0]], "C": 1}}],
+                             ids=["field", "system"])
+    def test_config_refuses_unknown_keys(self, doc):
+        # a misspelt key was read as absent: "n_trails": 100 ran 30 trials
+        with pytest.raises(io.ParseError, match="unknown keys"):
+            bh.BenchConfig.from_json(doc)
+
     def test_config_records_environment(self, smoke_run, monkeypatch):
         import platform
 

@@ -297,6 +297,18 @@ class TestStorage:
         with pytest.raises(io.ParseError):
             io.load_cost(p)
 
+    @pytest.mark.parametrize("load,doc", [
+        (io.load_system, {"n": 1, "m": 1, "A": [[0.5]], "B": [[1.0]], "b": [[2.0]]}),
+        (io.load_cost, {"n": 1, "phy": 0.5, "Q": [[1.0]]}),
+        (io.load_cost, {"n": 1, "Q": [[1.0]], "psd_tol": 0.0, "psdtol": 1.0}),
+    ], ids=["system", "cost_phi", "cost_psd_tol"])
+    def test_unknown_key_is_refused(self, tmp_path, load, doc):
+        # a misspelt key was read as absent: "phy": 0.5 ran with phi = 5
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(io.ParseError, match=r"x.json: unknown keys \['(b|phy|psdtol)'\]"):
+            load(p)
+
     def test_vector_B_in_file(self, tmp_path):
         p = tmp_path / "sys.json"
         p.write_text(json.dumps({"n": 2, "m": 1, "A": [[0.0, 1.0], [0.3, 0.1]], "B": [0.0, 1.0]}))
