@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .baseline_rm import estimate_rm
-from .bench_harness import BenchConfig, default_workers, run_benchmark
+from .bench_harness import BenchConfig, run_benchmark
 from .core_model import (
     DEFAULT_PHI,
     load_bundle,
@@ -154,8 +154,7 @@ def cmd_bench(args):
         config = BenchConfig.from_json(read_json(args.config))
     else:
         config = BenchConfig()
-    workers = args.workers if args.workers else default_workers()
-    run_benchmark(config, out_dir=args.out_dir, n_workers=workers)
+    run_benchmark(config, out_dir=args.out_dir, n_workers=args.workers or None)
     print(f"wrote trials.csv, summary.csv, timings.csv under {args.out_dir}")
 
 

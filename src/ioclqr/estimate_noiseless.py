@@ -90,7 +90,7 @@ def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
     # promises one such point. Data rounding may push the whole set slightly
     # below exact PSD-ness (empty at this level); the maximizer is still
     # unique then, and the cost tolerance is relaxed at construction below.
-    amb_tol = 1e-8 * max(1.0, float(np.linalg.norm(q_prime)))
+    amb_tol = psd_tol_for(q_prime)
     # widths are measured along the eigenvectors of the path's end curvature
     # (`_PathEnd.curvature`): a feasible segment through alpha* lies along
     # its flattest direction, oblique to the kernel coordinates or not. Each
