@@ -554,7 +554,8 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("n,m,N,M", [(1, 1, 2, 1), (2, 1, 50, 200), (3, 2, 15, 3)])
-@pytest.mark.parametrize("noise", [("exact", None, None), ("noisy_both", 18.5, 1.0 / 3.0)])
+@pytest.mark.parametrize("noise", [("exact", None, None), ("noisy_both", 18.5, 1.0 / 3.0),
+                                   ("noisy_state", 18.5, None), ("noisy_input", None, 1.0 / 3.0)])
 @pytest.mark.parametrize("comments", [(), ("settings seed=5", "free text, with a comma")])
 def test_bundle_io_matches_row_by_row_oracle(tmp_path, n, m, N, M, noise, comments):
     rng = np.random.default_rng(n * 1000 + N + M)

@@ -23,6 +23,7 @@ import pytest
 
 import ioclqr as io
 from ioclqr import cli
+from ioclqr.core_model import KINDS
 
 TOKENS = [b"nan", b"1e999", b"1e200", b"true", b'"5"', b"\xff", b"[]", b"null",
           b"-1", b"0", b"1e-300", b"-0.0", b"", b","]
@@ -45,6 +46,8 @@ BENCH = {"n_trials": 1, "N": 6, "M_grid": [2], "snr_db_x": 15.0, "snr_db_u": 20.
 
 SEEDS = range(360)
 EXAMPLE_SEEDS = range(300, 360)  # identify and estimate --mode exact on the worked example
+RENAME_SEEDS = range(360, 420)  # one JSON key or the bundle's kind word renamed
+KNOWN = {"n", "m", "A", "B", "phi", "Q", "psd_tol", *BENCH, "system", "environment", *KINDS}
 
 
 def mutate(data, rng):
@@ -66,6 +69,21 @@ def mutate(data, rng):
         else:
             data[pos:pos + 1] = bytes([rng.integers(256)])
     return bytes(data)
+
+
+def rename(data, rng):
+    """data with one JSON key, or a bundle CSV's kind word, turned into a
+    word no loader knows: a letter dropped or doubled, the case swapped or
+    an x appended."""
+    words = list(re.finditer(rb'"(\w+)":|^# kind=(\w+)', data))
+    match = words[rng.integers(len(words))]
+    start, end = match.span(1) if match.group(1) else match.span(2)
+    word = data[start:end].decode()
+    i = int(rng.integers(len(word)))
+    new = [word[:i] + word[i + 1:], word[:i] + word[i] + word[i:], word.swapcase(),
+           word + "x"][rng.integers(4)]
+    assert new not in KNOWN, (word, new)
+    return data[:start] + new.encode() + data[end:]
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +192,29 @@ def test_every_input_ends_in_a_documented_way(seed, clean_inputs, tmp_path, caps
     else:
         assert err.startswith("error:") and len(raised) == 1, f"{argv}: {err!r}"
         assert (rc == 1) == isinstance(raised[0], (io.ParseError, OSError)), f"{argv}: {raised[0]!r}"
+
+
+@pytest.mark.parametrize("seed", RENAME_SEEDS)
+def test_unread_key_or_kind_exits_1(seed, clean_inputs, tmp_path, capsys):
+    # a misspelt key was read as absent and an unknown kind as exact
+    rng = np.random.default_rng([17, seed])
+    target = ["system", "cost", "bench", "exact", "noisy"][seed % 5]
+    files = {}
+    for name in ("system", "cost", "bench", "exact", "noisy"):
+        data = rename(clean_inputs[name], rng) if name == target else clean_inputs[name]
+        files[name] = tmp_path / (name + (".csv" if name in ("exact", "noisy") else ".json"))
+        files[name].write_bytes(data)
+    bundle = files["noisy" if target == "noisy" else "exact"]
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "cost": ["forward", "--system", str(files["system"]), "--cost", str(files["cost"]),
+                 "--x0=1,2"] + out,
+        "bench": ["bench", "--config", str(files["bench"]), "--out-dir", str(tmp_path / "b"),
+                  "--workers", "1"],
+        "noisy": ["estimate", "--system", str(files["system"]), "--bundle", str(bundle),
+                  "--mode", "risk-x"] + out,
+    }.get(target, ["identify", "--system", str(files["system"]), "--bundle", str(bundle)] + out)
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "Traceback" not in err, f"{argv}: {err!r}"
+    assert not (tmp_path / "out").exists()
