@@ -308,7 +308,7 @@ def json_object(doc, where, keys):
         raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ParseError(f"{where}: unknown keys {unknown}; the keys read are {sorted(keys)}")
+        raise ParseError(f"{where}: unknown keys {unknown}; expected keys from {sorted(keys)}")
     return doc
 
 
