@@ -9,6 +9,7 @@ times go to a separate file so the result CSVs are byte-stable.
 """
 
 import csv
+import functools
 import io
 import os
 import platform
@@ -23,11 +24,28 @@ import scipy.linalg as sla
 from .baseline_rm import estimate_rm
 from .core_model import (CostMatrix, FLOAT_FMT, LtiSystem, ball_radius_ok, json_matrix,
                          json_object, write_json)
-from .errors import InvalidSystem, ParseError, RejectionBudgetExceeded
-from .estimate_noisy import RiskProblem, estimate
+from .errors import DimensionMismatch, InvalidSystem, ParseError, RejectionBudgetExceeded
+from .estimate_noiseless import recover_exact
+from .estimate_noisy import EstimateResult, RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
 
 METHODS = ("risk_x", "risk_u", "residual_min")
+
+
+def fit(sys, bundle, method, phi):
+    """The one map from an estimator's name to its call: "exact" (recovery
+    from noiseless data) or one of METHODS, each inside the ball phi. The
+    CLI's estimate and every benchmark cell run it; another name raises
+    DimensionMismatch."""
+    if method == "exact":
+        Q = recover_exact(sys, bundle, phi=phi)
+        return EstimateResult(Q, method="exact", config={"mode": "exact", "phi": phi})
+    if method == "residual_min":
+        return estimate_rm(sys, bundle, phi=phi)
+    if method in ("risk_x", "risk_u"):
+        mode = "state_obs" if method == "risk_x" else "input_obs"
+        return estimate(RiskProblem(sys, bundle, mode=mode, phi=phi))
+    raise DimensionMismatch(f"method must be exact or one of {METHODS}, got {method!r}")
 
 
 @dataclass
@@ -187,14 +205,7 @@ def run_trial(config, trial_id):
         for method in METHODS:
             t0 = time.perf_counter()
             try:
-                if method == "residual_min":
-                    res = estimate_rm(sys, sub, phi=config.phi)
-                else:
-                    mode = "state_obs" if method == "risk_x" else "input_obs"
-                    prob = RiskProblem(
-                        sys, sub, mode=mode, phi=config.phi, record_trace=False
-                    )
-                    res = estimate(prob)
+                res = fit(sys, sub, method, config.phi)
                 err = float(np.linalg.norm(res.Q_hat.Q - Qbar)) / nrm
                 row = {
                     "rel_error": err,
@@ -289,11 +300,6 @@ def timings_csv(records, M_grid):
     )
 
 
-def _worker(args):
-    config, trial_id = args
-    return run_trial(config, trial_id)
-
-
 def default_workers():
     return min(os.cpu_count() or 1, 4)
 
@@ -320,18 +326,17 @@ def run_benchmark(config, out_dir=None, n_workers=None):
     """Run every trial, write trials/summary/timings CSVs, return the records.
 
     Deterministic for a fixed config and master seed: per-trial RNG streams
-    are independent of scheduling and records are aggregated sorted by
-    trial_id. Timing data never enters trials.csv.
+    are independent of scheduling, and map and pool.map both return the
+    trials in trial_id order. Timing data never enters trials.csv.
     """
     # a pool starts all its workers at once: it never gets more than trials
     n_workers = min(default_workers() if n_workers is None else n_workers, config.n_trials)
-    jobs = [(config, t) for t in range(config.n_trials)]
+    trial = functools.partial(run_trial, config)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_worker, jobs))
+            records = list(pool.map(trial, range(config.n_trials)))
     else:
-        records = [run_trial(config, t) for t in range(config.n_trials)]
-    records.sort(key=lambda r: r.trial_id)
+        records = list(map(trial, range(config.n_trials)))
     summary_rows = summarize(records, config.M_grid)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

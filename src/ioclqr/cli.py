@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .baseline_rm import estimate_rm
-from .bench_harness import BenchConfig, run_benchmark
+from .bench_harness import METHODS, BenchConfig, fit, run_benchmark
 from .core_model import (
     DEFAULT_PHI,
     load_bundle,
@@ -27,8 +26,6 @@ from .core_model import (
     write_json,
 )
 from .errors import IocError, NumericalFailure, SolverNotConverged
-from .estimate_noiseless import recover_exact
-from .estimate_noisy import EstimateResult, RiskProblem, estimate
 from .forward_lqr import add_noise, generate_bundle
 from .identifiability import assess
 
@@ -127,18 +124,7 @@ def cmd_identify(args):
 def cmd_estimate(args):
     sys_ = load_system(args.system)
     bundle = load_bundle(args.bundle)
-    if args.mode == "exact":
-        result = EstimateResult(
-            recover_exact(sys_, bundle, phi=args.phi),
-            method="exact",
-            config={"mode": "exact", "phi": args.phi},
-        )
-    elif args.mode == "residual-min":
-        result = estimate_rm(sys_, bundle, phi=args.phi)
-    else:
-        mode = "state_obs" if args.mode == "risk-x" else "input_obs"
-        prob = RiskProblem(sys_, bundle, mode=mode, phi=args.phi)
-        result = estimate(prob)
+    result = fit(sys_, bundle, args.mode.replace("-", "_"), args.phi)
     result.config.update({"N": bundle.N, "M": bundle.M})
     if not result.converged:
         raise SolverNotConverged(
@@ -195,7 +181,7 @@ def build_parser():
     e.add_argument(
         "--mode",
         required=True,
-        choices=("exact", "risk-x", "risk-u", "residual-min"),
+        choices=tuple(m.replace("_", "-") for m in ("exact", *METHODS)),
         help="estimator to run",
     )
     e.add_argument("--phi", type=float, default=DEFAULT_PHI, help="Frobenius ball radius squared")

@@ -8,6 +8,7 @@ import pytest
 
 import ioclqr as io
 from ioclqr import bench_harness as bh
+from ioclqr import cli
 
 
 def _taylor_expm(A, terms=50):
@@ -202,6 +203,31 @@ class TestRunBenchmark:
             float(r[3]) for r in rows if r[0] == "0" and r[1] == "5" and r[2] == "risk_x"
         ]
         assert got == [pytest.approx(want, abs=1e-12)]
+
+    @pytest.mark.parametrize("method", bh.METHODS)
+    def test_cell_is_bit_equal_to_the_cli_estimate(self, smoke_run, tmp_path, method):
+        # a cell and `ioclqr estimate` on the same data, saved as a CSV, both
+        # run bench_harness.fit
+        cfg, _, records, _ = smoke_run
+        sys, cost, init_ss, noise_ss = bh.sample_instance(cfg, 1)
+        exact = io.generate_bundle(sys, cost, cfg.N, max(cfg.M_grid), seed=init_ss)
+        noisy = io.add_noise(exact, cfg.snr_db_x, cfg.snr_db_u, seed=noise_ss)
+        spath, bpath, out = tmp_path / "sys.json", tmp_path / "data.csv", tmp_path / "est.json"
+        io.save_system(sys, spath)
+        io.save_bundle(noisy.subset(5), bpath)
+        assert cli.main(["estimate", "--system", str(spath), "--bundle", str(bpath), "--mode",
+                         method.replace("_", "-"), "--phi", repr(cfg.phi), "--out", str(out)]) == 0
+        Q = np.array(json.loads(out.read_text())["Q"])
+        cell = records[1].results[(5, method)]["Q_hat"]
+        assert np.array_equal(Q.view(np.uint64), cell.view(np.uint64))
+
+    def test_fit_refuses_an_unknown_method(self):
+        sys, cost, init_ss, _ = bh.sample_instance(bh.BenchConfig(), 0)
+        bundle = io.generate_bundle(sys, cost, 6, 2, seed=init_ss)
+        assert bh.fit(sys, bundle, "exact", 5.0).method == "exact"
+        for method in ("risk-x", "residual_minimization", "Exact", ""):
+            with pytest.raises(io.DimensionMismatch, match="method must be"):
+                bh.fit(sys, bundle, method, 5.0)
 
     def test_rerun_byte_identical(self, smoke_run, tmp_path):
         cfg, out, _, _ = smoke_run

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ioclqr as io
-from ioclqr import cli, errors
+from ioclqr import bench_harness, cli, errors
 
 
 def _write_instance(tmp_path, sys, cost, tag="a"):
@@ -417,12 +417,12 @@ class TestEstimate:
 
     def test_solver_failure_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
         _, _, spath, bpath = dataset
-        real = cli.estimate
+        real = bench_harness.estimate
 
         def stalled(prob):
             return dataclasses.replace(real(prob), status="step_budget")
 
-        monkeypatch.setattr(cli, "estimate", stalled)
+        monkeypatch.setattr(bench_harness, "estimate", stalled)
         rc = cli.main(["estimate", "--system", spath, "--bundle", bpath,
                        "--mode", "risk-x", "--out", str(tmp_path / "x.json")])
         assert rc == 3
