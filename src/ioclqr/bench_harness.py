@@ -88,20 +88,20 @@ class BenchConfig:
         self.M_grid = tuple(sorted(int(m) for m in self.M_grid))
 
     @classmethod
-    def from_json(cls, doc):
+    def from_json(cls, doc, where="benchmark config"):
         """Config from a parsed JSON document; a document of the wrong shape
-        raises ParseError."""
+        raises ParseError naming where, the file it came from."""
         # run_benchmark writes the numeric environment into config.json too
         names = [f.name for f in fields(cls)]
-        doc = json_object(doc, "benchmark config", names + ["environment"])
+        doc = json_object(doc, where, names + ["environment"])
         kwargs = {name: doc[name] for name in names if name != "system" and name in doc}
         try:
             if doc.get("system") is not None:
-                s = json_object(doc["system"], "benchmark config system", ("A", "B"))
+                s = json_object(doc["system"], f"{where}: system", ("A", "B"))
                 kwargs["system"] = LtiSystem(json_matrix(s["A"], "A"), json_matrix(s["B"], "B"))
             return cls(**kwargs)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(f"malformed benchmark config ({type(e).__name__}: {e})") from e
+            raise ParseError(f"{where}: malformed benchmark config ({type(e).__name__}: {e})") from e
 
 
 @dataclass

@@ -137,7 +137,7 @@ def cmd_estimate(args):
 
 def cmd_bench(args):
     if args.config:
-        config = BenchConfig.from_json(read_json(args.config))
+        config = BenchConfig.from_json(read_json(args.config), args.config)
     else:
         config = BenchConfig()
     run_benchmark(config, out_dir=args.out_dir, n_workers=args.workers or None)

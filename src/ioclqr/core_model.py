@@ -24,6 +24,8 @@ DEFAULT_PHI = 5.0
 
 DYN_TOL = 1e-8  # largest dynamics residual an exact bundle may show
 
+MIN_SNR_DB = -3000.0  # least SNR: a noise power 10^(-snr/10) times the signal's stays finite
+
 # 17 significant digits round-trips doubles exactly
 FLOAT_FMT = "%.17g"
 
@@ -43,18 +45,24 @@ def ball_radius_ok(phi):
     return phi > 0.0 and bool(np.isfinite(phi * phi))
 
 
-def rank_tol(singular_values, shape):
-    """Default numerical-rank threshold: max(p,q) * sigma_max * 1e-12."""
-    if len(singular_values) == 0:
-        return 0.0
-    return max(shape) * float(singular_values[0]) * 1e-12
+def rank_tol(singular_values):
+    """The numerical-rank threshold 1e-10 sigma_1, whatever the shape.
+
+    A rank read as full promises a least-squares solve, whose error grows
+    like eps ||Q|| sigma_1 / sigma_min (at most 2.1 times that on the
+    full-rank readings of tools/rank_sweep.py). The cutoff bounds that
+    ratio, which more rows of the same data leave as it is, and 1e-10 ~
+    eps / 1e-6 keeps a full-rank solve to about six digits. It sits between
+    the 2.9e-12 of a data matrix that must read deficient and the 4.3e-9 of
+    one that must read full (README, "One rank rule").
+    """
+    return 1e-10 * float(singular_values[0]) if len(singular_values) else 0.0
 
 
 def numerical_rank(Mtx):
     """Count of Mtx's singular values above rank_tol."""
-    Mtx = np.asarray(Mtx, dtype=float)
-    sv = np.linalg.svd(Mtx, compute_uv=False)
-    return int((sv > rank_tol(sv, Mtx.shape)).sum())
+    sv = np.linalg.svd(np.asarray(Mtx, dtype=float), compute_uv=False)
+    return int((sv > rank_tol(sv)).sum())
 
 
 def vec(Mtx):
@@ -229,7 +237,9 @@ class TrajectoryBundle:
     x_1..x_N) and U (M x m x (N-1)), kept without a copy and made read-only;
     `episodes` are `Episode` views into them, built on read. kind records
     whether (and where) noise was injected; exact bundles are checked
-    against the dynamics when a system is supplied.
+    against the dynamics when a system is supplied. Each SNR is None or a
+    number of dB >= MIN_SNR_DB (NaN fails), and only a component that kind
+    marks noisy may carry one.
     """
 
     def __init__(self, X, U, kind="exact", snr_db_x=None, snr_db_u=None):
@@ -243,6 +253,13 @@ class TrajectoryBundle:
             )
         if not (np.isfinite(X).all() and np.isfinite(U).all()):
             raise DimensionMismatch("X and U must have finite entries")
+        noisy = (kind in ("noisy_state", "noisy_both"), kind in ("noisy_input", "noisy_both"))
+        if any(s is not None and not (on and s >= MIN_SNR_DB)
+               for s, on in zip((snr_db_x, snr_db_u), noisy)):
+            raise DimensionMismatch(
+                f"kind={kind} cannot carry snr_db_x={snr_db_x}, snr_db_u={snr_db_u}: each SNR is "
+                f"none, or a number >= {MIN_SNR_DB:g} dB on a component the kind marks noisy"
+            )
         X.setflags(write=False)
         U.setflags(write=False)
         self.X, self.U = X, U
@@ -401,10 +418,10 @@ def load_bundle(path):
     pairs of the leading `#` lines, a later key winning; only kind (default
     exact) and snr_db_x and snr_db_u (default none) are read. Raises
     ParseError, naming the file, unless kind is one of KINDS, each SNR is
-    none or a number, the header is exactly `episode,t,x1..xn,u1..um`, every
-    row has that many fields, episode and t are integers, each episode holds
-    t = 1..N once, every value is finite and inputs are empty exactly at
-    t = N."""
+    none or a number that TrajectoryBundle admits for that kind, the header
+    is exactly `episode,t,x1..xn,u1..um`, every row has that many fields,
+    episode and t are integers, each episode holds t = 1..N once, every
+    value is finite and inputs are empty exactly at t = N."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -464,4 +481,7 @@ def load_bundle(path):
         raise ParseError(f"{path}: inputs must be empty at t=N and only there")
     X = np.ascontiguousarray(V[:, :, :n].transpose(0, 2, 1))
     U = np.ascontiguousarray(V[:, :-1, n:].transpose(0, 2, 1))
-    return TrajectoryBundle(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+    try:
+        return TrajectoryBundle(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
+    except DimensionMismatch as e:  # the metadata's SNRs: the rows are checked above
+        raise ParseError(f"{path}: {e}") from e

@@ -260,9 +260,10 @@ def _lstsq_args(k):
 
 def _lstsq(K, g):
     """np.linalg.lstsq(K, g, rcond=None)[0] for a square K: the same dgelsd
-    call at the same cutoff, without the wrapper."""
+    call at the same cutoff, without the wrapper. Like numpy, raises
+    LinAlgError on any nonzero info: a non-finite K gives info < 0."""
     x, _, _, info = lapack.dgelsd(K, g[:, None], *_lstsq_args(len(g)))
-    if info > 0:
+    if info != 0:
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     return x[:, 0]
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .core_model import Episode, TrajectoryBundle, as_q
+from .core_model import MIN_SNR_DB, Episode, TrajectoryBundle, as_q
 from .errors import (
     DimensionMismatch,
     NumericalFailure,
@@ -26,8 +26,6 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
-
-MIN_SNR_DB = -3000.0  # add_noise's floor: noise power 10^(-snr/10) signal stays finite
 
 
 class GainSchedule:

@@ -144,7 +144,7 @@ def _factor(AD):
     """
     p, q = AD.shape
     U, sv, Vt = np.linalg.svd(AD, full_matrices=p < q)
-    rank = int((sv > rank_tol(sv, AD.shape)).sum())
+    rank = int((sv > rank_tol(sv)).sum())
     K = Vt[rank:]  # kernel rows; flip each so its largest-magnitude entry is positive
     K = K * np.sign(K[np.arange(len(K)), np.abs(K).argmax(axis=1)])[:, None]
     return U, sv, Vt, rank, [unvech(v) for v in K]

@@ -184,6 +184,13 @@ def test_least_squares_is_bit_equal_to_numpy_lstsq():
                 g = rng.standard_normal(k)
                 want = np.linalg.lstsq(K, g, rcond=None)[0]
                 assert np.array_equal(_bits(estimate_noisy._lstsq(K, g)), _bits(want))
+    # a non-finite K: dgelsd refuses it with info < 0, and both must raise
+    for bad in (np.inf, -np.inf, np.nan):
+        K, g = np.array([[bad, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(K, g, rcond=None)
+        with pytest.raises(np.linalg.LinAlgError):
+            estimate_noisy._lstsq(K, g)
 
 
 def _fits(sys_, noisy, **kw):

@@ -443,17 +443,19 @@ class TestBench:
             assert (d1 / name).exists()
         assert (d1 / "trials.csv").read_bytes() == (d2 / "trials.csv").read_bytes()
 
-    def test_bad_config_exits_1(self, tmp_path):
+    def test_bad_config_exits_1(self, tmp_path, capsys):
         cpath = tmp_path / "bad.json"
         cpath.write_text("{not json")
         rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+        assert str(cpath) in capsys.readouterr().err
 
-    def test_binary_config_exits_1(self, tmp_path):
+    def test_binary_config_exits_1(self, tmp_path, capsys):
         cpath = tmp_path / "bin.json"
         cpath.write_bytes(b"\xff\xfe\x00\x81{")
         rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+        assert str(cpath) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc",
@@ -469,11 +471,12 @@ class TestBench:
              "zero_trials", "horizon_2", "string_phi", "negative_phi", "huge_phi", "string_snr",
              "negative_seed"],
     )
-    def test_wrong_shape_config_exits_1(self, tmp_path, doc):
+    def test_wrong_shape_config_exits_1(self, tmp_path, capsys, doc):
         cpath = tmp_path / "shape.json"
         cpath.write_text(json.dumps(doc))
         rc = cli.main(["bench", "--config", str(cpath), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cpath}: ")
 
     @pytest.mark.parametrize("workers", ["-1", "cpu+1", "x"])
     def test_workers_outside_range_exits_2(self, capsys, workers):

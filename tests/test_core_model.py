@@ -422,10 +422,14 @@ class TestStorage:
             b"episode,t,x1,u1\n1.5,1,0.5,0.1\n1.5,2,0.4,\n",
             b"episode,t,x1,u1\n1,1,0.5,0.1\n1,2.0,0.4,\n",
             b"episode,t,x1,u1\n1,1,0.5,0.1\n1,2,\xff,\n",
+            # SNR metadata: NaN, below MIN_SNR_DB, or on a component kind keeps exact
+            b"# kind=noisy_state,snr_db_x=nan,snr_db_u=-inf\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n",
+            b"# kind=exact,snr_db_x=15\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n",
+            b"# kind=noisy_input,snr_db_u=-inf\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n",
         ],
         ids=["swapped_header", "extra_fields", "duplicate_step", "nan", "inf",
              "overflow", "nan_at_t_N", "non_integer_episode", "non_integer_t",
-             "not_utf8"],
+             "not_utf8", "nan_snr", "snr_on_exact", "snr_below_floor"],
     )
     def test_bundle_rejects_malformed_rows(self, tmp_path, text):
         p = tmp_path / "x.csv"
@@ -447,6 +451,26 @@ class TestStorage:
                       b"# kind=noisy_input\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n")
         b = io.load_bundle(p)
         assert (b.kind, b.snr_db_x, b.snr_db_u) == ("noisy_input", None, 20.0)
+
+    def test_noisy_kind_of_unknown_snr_loads(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"# kind=noisy_both,snr_db_x=none\nepisode,t,x1,u1\n1,1,0.5,0.1\n1,2,0.4,\n")
+        b = io.load_bundle(p)
+        assert (b.kind, b.snr_db_x, b.snr_db_u) == ("noisy_both", None, None)
+
+    def test_bundle_snr_must_fit_the_kind(self):
+        X, U = np.zeros((1, 1, 2)), np.zeros((1, 1, 1))
+        floor = io.core_model.MIN_SNR_DB
+        for kind, snr_x, snr_u in [("noisy_state", floor, None), ("noisy_input", None, np.inf),
+                                   ("noisy_both", 15.0, -20.0), ("exact", None, None)]:
+            b = TrajectoryBundle(X, U, kind, snr_x, snr_u)
+            assert (b.snr_db_x, b.snr_db_u) == (snr_x, snr_u)
+        for kind, snr_x, snr_u in [("exact", 15.0, None), ("exact", None, 20.0),
+                                   ("noisy_state", None, 20.0), ("noisy_input", 15.0, None),
+                                   ("noisy_both", np.nan, 20.0), ("noisy_both", 15.0, -np.inf),
+                                   ("noisy_state", np.nextafter(floor, -np.inf), None)]:
+            with pytest.raises(io.DimensionMismatch, match="SNR"):
+                TrajectoryBundle(X, U, kind, snr_x, snr_u)
 
     def test_bundle_reads_unterminated_last_row_and_crlf(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -325,11 +325,24 @@ class TestAssess:
     def test_thm3_fallback_when_rank_is_inconclusive(self, rich_instance, monkeypatch):
         # an absurd rank tolerance empties the rank route; the spanning test
         # still settles uniqueness
-        monkeypatch.setattr("ioclqr.identifiability.rank_tol", lambda sv, shape: 1e9)
+        monkeypatch.setattr("ioclqr.identifiability.rank_tol", lambda sv: 1e9)
         report = io.assess(rich_instance["sys"], rich_instance["bundle"])
         assert not report.full_column_rank
         assert report.thm3_holds is True
         assert report.verdict == "unique_by_thm3"
+
+    @pytest.mark.parametrize("seed", [45, 46])
+    def test_more_episodes_keep_the_rank_verdict(self, seed, random_system, random_psd):
+        # sigma_3 / sigma_1 is 4.3e-9 (seed 45) and 6.8e-9 (seed 46) at every M;
+        # a cutoff that grew with the row count read not_determined at M >= 200
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, 2)
+        cost = io.CostMatrix(random_psd(rng, 2))
+        for M in (20, 200, 2000):
+            bundle = io.generate_bundle(sys, cost, N=50, M=M, seed=7)
+            report = io.assess(sys, bundle)
+            assert report.verdict == "unique_by_rank", M
+            assert np.abs(io.recover_exact(sys, bundle, report=report).Q - cost.Q).max() < 1e-8
 
     def test_thm3_recorded_as_none_when_unmet(self, example_instance):
         report = io.assess(example_instance["sys"], example_instance["bundle"])
