@@ -3,18 +3,14 @@
 The stacked linear system ties vech(Q) to the observed inputs; with full
 column rank a least-squares solve recovers Q directly, and in the certified
 rank-deficient case the unique PSD point on the solution affine set is the
-maximizer of the smallest eigenvalue along the kernel directions, read off
-the path end that the dual certificate solved for (`Prop2Record.end`).
+maximizer of the smallest eigenvalue along the kernel directions. The dual
+certificate decides that this maximizer is one point and records it
+(`Prop2Record.Q_star`); recovery only reads that record.
 """
 
-import numpy as np
-import scipy.linalg as sla
-
-from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
+from .core_model import CostMatrix, DEFAULT_PHI
 from .errors import AmbiguousSolution, NotIdentifiable, ResidualTooLarge
 from .identifiability import assess, prop2_certificate
-
-WIDTH_SPAN = 1e3  # cap on each side of a `_feasible_width`
 
 
 def _fitted_solution(report):
@@ -48,65 +44,16 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
     return CostMatrix(_fitted_solution(report), phi=phi)
 
 
-def _feasible_width(Q_star, E, level):
-    """Width of {s : Q* + level I + s E >= 0}, each side capped at WIDTH_SPAN.
-
-    The set is an interval whose ends are -1/mu for the extreme generalized
-    eigenvalues mu of (E, Q* + level I) (the LMI step length, Vandenberghe &
-    Boyd, SIAM Review 1996); it is empty when Q* + level I is not positive
-    definite. The cap keeps an unbounded side finite, so that the two-level
-    comparison in recover_with_kernel still reads it as wide.
-    """
-    try:
-        mu = sla.eigh(E, Q_star + level * np.eye(len(Q_star)), eigvals_only=True)
-    except np.linalg.LinAlgError:
-        return 0.0
-    up = -1.0 / mu[0] if mu[0] < 0 else WIDTH_SPAN
-    down = 1.0 / mu[-1] if mu[-1] > 0 else WIDTH_SPAN
-    return min(up, WIDTH_SPAN) + min(down, WIDTH_SPAN)
-
-
 def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):
-    """Pick the unique PSD point on the solution affine set.
-
-    Reads the maximizer of lam_min(Q' + sum alpha_k dQ_k) off the end of the
-    report's certificate path; a report without a certificate gets one from
-    prop2_certificate, as assess would. An AmbiguousSolution error
-    means the maximum is unbounded or flat, or the feasible alpha set is
-    wider along some direction than the certificate allows.
-    """
+    """The unique PSD point on the solution affine set, read off the report's
+    certificate: its Q_star at its psd_tol, or its `ambiguity` raised as
+    AmbiguousSolution. A report built without a certificate gets one from
+    prop2_certificate, as assess would."""
     if report.kernel_dim == 0:
         return recover_exact(sys, bundle, report=report, phi=phi)
     if report.verdict != "unique_by_dual":
         raise NotIdentifiable(f"kernel recovery needs unique_by_dual, got {report.verdict}")
-    q_prime = _fitted_solution(report)
-    end = (report.prop2 or prop2_certificate(q_prime, report.kernel_basis)).end
-    kernel = np.asarray(report.kernel_basis)
-    if not end.bounded:
-        raise AmbiguousSolution("lam_min keeps its maximum along a ray or a segment of alphas")
-
-    Q_star = q_prime + np.tensordot(end.alpha, kernel, 1)
-    # alpha is feasible when Q(alpha) is PSD within amb_tol; the certificate
-    # promises one such point. Data rounding may push the whole set slightly
-    # below exact PSD-ness (empty at this level); the maximizer is still
-    # unique then, and the cost tolerance is relaxed at construction below.
-    amb_tol = psd_tol_for(q_prime)
-    # widths are measured along the eigenvectors of the path's end curvature
-    # (`_PathEnd.curvature`): a feasible segment through alpha* lies along
-    # its flattest direction, oblique to the kernel coordinates or not. Each
-    # width is read off one generalized eigenproblem (`_feasible_width`). A
-    # 100-fold tighter level shrinks the width 100-fold where lam_min falls
-    # off linearly (a sharp maximum), 10-fold where it falls off
-    # quadratically, not at all along a flat segment; only the sharp maximum
-    # passes
-    for k, e in enumerate(np.linalg.eigh(end.curvature)[1].T):
-        E = np.tensordot(e, kernel, 1)
-        wide, tight = (_feasible_width(Q_star, E, level) for level in (amb_tol, 0.01 * amb_tol))
-        if wide > 1e-6 and tight > wide / 30.0:
-            raise AmbiguousSolution(
-                f"feasible alphas spread over {wide:.3e} (> 1e-6) along curvature direction {k}, "
-                f"{tight:.3e} at a 100-fold tighter level"
-            )
-    # the achieved max lam_min certifies how PSD this data can get; accept it
-    tol = max(psd_tol_for(Q_star), 1.5 * abs(min(end.lam, 0.0)))
-    return CostMatrix(Q_star, phi=phi, psd_tol=tol)
+    cert = report.prop2 or prop2_certificate(_fitted_solution(report), report.kernel_basis)
+    if cert.ambiguity is not None:
+        raise AmbiguousSolution(cert.ambiguity)
+    return CostMatrix(cert.Q_star, phi=phi, psd_tol=cert.psd_tol)

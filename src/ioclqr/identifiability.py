@@ -5,14 +5,16 @@ the second-last-state spanning condition, and finally a dual-SDP
 non-degeneracy certificate for the rank-deficient case. The certificate
 solves max lam_min(Q' + sum alpha_k dQ_k) once, on the noisy fits'
 log-barrier path (`estimate_noisy._barrier_path`), reads its trace-normalized
-dual off that path's tau cuts and keeps the path's end, whose maximizer the
-kernel recovery in estimate_noiseless reads.
+dual off that path's tau cuts, and checks that the path's maximizer is one
+point rather than a ray or a segment; kernel recovery in estimate_noiseless
+only reads that record.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.linalg as sla
 
 from .core_model import duplication_map, numerical_rank, psd_tol_for, rank_tol, unvech, vech
 from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
@@ -26,12 +28,13 @@ VERDICTS = ("unique_by_rank", "unique_by_thm3", "unique_by_dual", "not_determine
 # 4-decimal cost dips 5.4e-4 ||Q'|| below it).
 PROP2_GAP_TOL = 1e-10
 PROP2_PRECISION = 1e-3
+WIDTH_SPAN = 1e3  # cap on each side of a `_feasible_width`
 
 
 @dataclass
 class Prop2Record:
-    """The dual certificate and the max lam_min path end it was read from,
-    whose maximizer kernel recovery reads off `end`."""
+    """The dual certificate, the max lam_min path end it was read from, and
+    the maximizer Q_star = Q' + sum alpha*_k dQ_k that kernel recovery returns."""
 
     Phi_star: np.ndarray  # trace-n dual point where the path's gap first met the zero level
     rank_Phi: int
@@ -41,6 +44,9 @@ class Prop2Record:
     dual_value: float
     max_violation: float
     end: "_PathEnd"
+    Q_star: np.ndarray
+    psd_tol: float  # the PSD tolerance Q_star is accepted at
+    ambiguity: Optional[str]  # why Q_star is not one point (a ray or a wide set); None when sharp
 
     @property
     def n_iter(self):  # Newton steps of the barrier path; 0 when I is in span{dQ_k}
@@ -214,6 +220,43 @@ def _max_min_eig(Q_prime, kernel_basis):
     return _PathEnd(True, alpha, lam, duals, duals[-1][0], n_steps, curvature)
 
 
+def _feasible_width(Q_star, E, level):
+    """Width of {s : Q* + level I + s E >= 0}, each side capped at WIDTH_SPAN.
+
+    The set is an interval whose ends are -1/mu for the extreme generalized
+    eigenvalues mu of (E, Q* + level I) (the LMI step length, Vandenberghe &
+    Boyd, SIAM Review 1996); it is empty when Q* + level I is not positive
+    definite. The cap keeps an unbounded side finite, so that the two-level
+    comparison in _ambiguity still reads it as wide.
+    """
+    try:
+        mu = sla.eigh(E, Q_star + level * np.eye(len(Q_star)), eigvals_only=True)
+    except np.linalg.LinAlgError:
+        return 0.0
+    up = -1.0 / mu[0] if mu[0] < 0 else WIDTH_SPAN
+    down = 1.0 / mu[-1] if mu[-1] > 0 else WIDTH_SPAN
+    return min(up, WIDTH_SPAN) + min(down, WIDTH_SPAN)
+
+
+def _ambiguity(Q_star, end, kernel_basis, level):
+    """Why the path's maximizer Q_star is not one point (alpha feasible when
+    Q(alpha) is PSD within `level`), or None. Widths run along the end
+    curvature's eigenvectors, where a feasible segment through alpha* lies
+    whatever the kernel basis's rotation. A 100-fold tighter level shrinks a
+    width 100-fold where lam_min falls off linearly (a sharp maximum),
+    10-fold where it falls off quadratically, not at all along a flat
+    segment; only the sharp maximum passes."""
+    if not end.bounded:
+        return "lam_min keeps its maximum along a ray or a segment of alphas"
+    for k, e in enumerate(np.linalg.eigh(end.curvature)[1].T):
+        E = np.tensordot(e, kernel_basis, 1)
+        wide, tight = (_feasible_width(Q_star, E, lv) for lv in (level, 0.01 * level))
+        if wide > 1e-6 and tight > wide / 30.0:
+            return (f"feasible alphas spread over {wide:.3e} (> 1e-6) along curvature direction "
+                    f"{k}, {tight:.3e} at a 100-fold tighter level")
+    return None
+
+
 def prop2_certificate(Q_prime, kernel_basis):
     """Dual-SDP non-degeneracy certificate for a rank-deficient data matrix.
 
@@ -232,12 +275,16 @@ def prop2_certificate(Q_prime, kernel_basis):
     scaled to trace n. The eigenvectors G2 of the remaining eigenvalues of
     S* span the null space of Phi* and define N_Phi = {G2 W G2'}; the
     certificate holds when N_Phi intersects span{dQ_k} only at 0.
+    The record keeps the maximizer Q_star, its PSD tolerance (widened to
+    1.5 |lam*| when data rounding leaves the family slightly indefinite) and
+    the sharpness check's `ambiguity` at level psd_tol_for(Q'), or None.
     """
     if not kernel_basis:
         raise DimensionMismatch("kernel_basis must be nonempty")
     Qp = np.asarray(Q_prime, dtype=float)
     n, scale = len(Qp), float(np.linalg.norm(Qp)) or 1.0
     end = _max_min_eig(Qp, kernel_basis)
+    Q_star = Qp + np.tensordot(end.alpha, kernel_basis, 1)
     if not end.bounded or end.lam > psd_tol_for(Qp):
         Phi, value, rank, G2 = np.zeros((n, n)), 0.0, 0, np.eye(n)
     elif end.lam < -PROP2_PRECISION * scale:
@@ -248,8 +295,7 @@ def prop2_certificate(Q_prime, kernel_basis):
         zero = 10.0 * max(abs(end.lam), np.sqrt(PROP2_GAP_TOL) * scale)
         Phi = n * next(P for gap, P in end.duals if gap <= zero)
         value = end.lam + end.gap
-        S = Qp + np.tensordot(end.alpha, kernel_basis, 1) - end.lam * np.eye(n)
-        w, V = np.linalg.eigh(S)
+        w, V = np.linalg.eigh(Q_star - end.lam * np.eye(n))
         rank = int((w <= zero).sum())
         G2 = V[:, rank:]
     if rank == n:
@@ -269,6 +315,9 @@ def prop2_certificate(Q_prime, kernel_basis):
         dual_value=value,
         max_violation=float(np.abs(viol).max()),
         end=end,
+        Q_star=Q_star,
+        psd_tol=max(psd_tol_for(Q_star), 1.5 * abs(min(end.lam, 0.0))),
+        ambiguity=_ambiguity(Q_star, end, kernel_basis, psd_tol_for(Qp)),
     )
 
 
@@ -278,7 +327,8 @@ def assess(sys, bundle):
     Verdict: unique_by_rank on full column rank, else unique_by_thm3 when the
     second-last states span and the least-squares solve kept every singular
     value (a truncated solve returns the min-norm point, not Q), else
-    unique_by_dual when the Prop2-style dual certificate passes, else
+    unique_by_dual when the Prop2-style dual certificate passes and its
+    maximizer is sharp (Prop2Record.ambiguity is None), else
     not_determined. The min-norm least-squares solution (q_prime, kept only
     when the data fit it) and its residual come from the same single
     factorization of the data matrix.
@@ -318,6 +368,7 @@ def assess(sys, bundle):
             report.prop2 = prop2_certificate(report.q_prime, kernel)
         except SolverNotConverged:
             return report  # not_determined, never a false certificate
-        if report.prop2.intersection_trivial and report.prop2.rank_Phi > 0:
+        cert = report.prop2
+        if cert.intersection_trivial and cert.rank_Phi > 0 and cert.ambiguity is None:
             report.verdict = "unique_by_dual"
     return report

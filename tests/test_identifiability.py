@@ -437,3 +437,37 @@ class TestAssess:
             "gap",
         }
         assert doc["rank_AD"] == 5 and doc["kernel_dim"] == 1
+
+
+def _sweep_instance(random_system, s, N=50, M=200):
+    """Instance s of tools/rank_sweep.py: a rank-r cost scaled to ||Q_bar||_F = 0.8."""
+    rng = np.random.default_rng([2024, s])
+    n = int(rng.integers(2, 4))
+    sys = random_system(rng, n)
+    G = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    Qbar = G @ G.T * (0.8 / np.linalg.norm(G @ G.T))
+    bundle = io.generate_bundle(sys, io.CostMatrix(Qbar, psd_tol=1e-3), N=N, M=M, seed=s)
+    return sys, bundle, Qbar
+
+
+def test_dual_verdict_is_one_the_recovery_keeps(random_system):
+    # instances 69 and 398 pass the dual certificate, but their max lam_min
+    # point is not sharp, so uniqueness is not_determined; a unique_by_dual
+    # there would be refuted by the recovery's AmbiguousSolution
+    for s in (69, 398):
+        sys, bundle, _ = _sweep_instance(random_system, s)
+        report = io.assess(sys, bundle)
+        assert report.verdict == "not_determined"
+        with pytest.raises(io.NotIdentifiable):
+            io.recover_exact(sys, bundle, report=report)
+        assert report.prop2.intersection_trivial and report.prop2.rank_Phi > 0
+        assert report.prop2.ambiguity is not None
+    n_dual = 0
+    for s in range(40):
+        sys, bundle, Qbar = _sweep_instance(random_system, s)
+        report = io.assess(sys, bundle)
+        if report.verdict == "unique_by_dual":
+            n_dual += 1
+            Q = io.recover_exact(sys, bundle, report=report)
+            assert np.abs(Q.Q - Qbar).max() <= 1e-6
+    assert n_dual == 3  # instances 22, 35 and 39

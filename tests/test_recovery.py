@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ioclqr as io
-from ioclqr import cli, estimate_noiseless, identifiability
+from ioclqr import cli, identifiability
 from ioclqr.core_model import psd_tol_for
 
 
@@ -323,20 +323,20 @@ def test_widths_match_a_bisection_oracle(monkeypatch, example_instance, rich_ins
     # every width read off the generalized eigenproblem agrees with 200
     # halvings on lam_min along the same line, at both levels and along each
     # curvature direction the recovery checks
-    width = estimate_noiseless._feasible_width
+    width = identifiability._feasible_width
     seen = []
 
     def checked(Q_star, E, level):
         got = width(Q_star, E, level)
         want = _interval_width_200(
             lambda s: np.linalg.eigvalsh(Q_star + s * E)[0], 0.0, -level,
-            estimate_noiseless.WIDTH_SPAN,
+            identifiability.WIDTH_SPAN,
         )
         assert abs(got - want) <= 1e-5 * want
         seen.append(got)
         return got
 
-    monkeypatch.setattr(estimate_noiseless, "_feasible_width", checked)
+    monkeypatch.setattr(identifiability, "_feasible_width", checked)
     cases = TestKernelRecovery()
     cases.test_worked_instance(example_instance)
     cases.test_slow_sharp_maximum_is_not_flagged(random_system)
