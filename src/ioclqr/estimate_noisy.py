@@ -281,7 +281,7 @@ def _barrier_path(term, y, lmi, grad_tol, max_iters):
     max(1, f), nu = dim S + 1 being the barrier's parameter (for convex f
     this bounds the suboptimality), and cuts tau tenfold otherwise. Returns
     (y, final gradient, trace, n_eval, status, cuts), at most max_iters
-    steps, cuts holding (tau, Newton step, C^-1) at each tau cut."""
+    steps, cuts holding (tau, Newton step, `_barrier`'s tuple) at each cut."""
     (f, g, H), bar = term(y), _barrier(y, *lmi)
     nu = len(lmi[0]) + 1
     tau, trace, n_eval, status, cuts = max(1.0, f) / nu, [(0, f)], 1, "step_budget", []
@@ -291,7 +291,7 @@ def _barrier_path(term, y, lmi, grad_tol, max_iters):
         step = -_lstsq(H + tau * bar[2], grad)
         slope = float(grad @ step)
         if -slope < 0.25 * tau:
-            cuts.append((tau, step, bar[3]))
+            cuts.append((tau, step, bar))
             if nu * tau <= grad_tol * max(1.0, f):
                 status = "gap_met"
                 break

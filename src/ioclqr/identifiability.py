@@ -33,8 +33,8 @@ WIDTH_SPAN = 1e3  # cap on each side of a `_feasible_width`
 
 @dataclass
 class Prop2Record:
-    """The dual certificate, the max lam_min path end it was read from, and
-    the maximizer Q_star = Q' + sum alpha*_k dQ_k that kernel recovery returns."""
+    """The dual certificate, read off one max lam_min path, and the maximizer
+    Q_star = Q' + sum alpha*_k dQ_k that kernel recovery returns."""
 
     Phi_star: np.ndarray  # trace-n dual point where the path's gap first met the zero level
     rank_Phi: int
@@ -43,18 +43,11 @@ class Prop2Record:
     # is this plus the (larger) gap at the point Phi_star was taken
     dual_value: float
     max_violation: float
-    end: "_PathEnd"
+    n_iter: int  # Newton steps of the barrier path; 0 when I is in span{dQ_k}
+    gap: float  # duality gap where the path stopped; inf when it found no bound
     Q_star: np.ndarray
     psd_tol: float  # the PSD tolerance Q_star is accepted at
     ambiguity: Optional[str]  # why Q_star is not one point (a ray or a wide set); None when sharp
-
-    @property
-    def n_iter(self):  # Newton steps of the barrier path; 0 when I is in span{dQ_k}
-        return self.end.n_steps
-
-    @property
-    def gap(self):  # duality gap where the path stopped; inf when it found no bound
-        return self.end.gap
 
 
 class _PathEnd(NamedTuple):
@@ -64,7 +57,7 @@ class _PathEnd(NamedTuple):
     duals: list  # (gap, trace-1 dual point) at each tau cut of the path
     gap: float
     n_steps: int
-    curvature: np.ndarray  # alpha block of log det S's Hessian at the path's end
+    curvature: np.ndarray  # alpha block of the barrier's Hessian at the path's last tau cut
 
 
 @dataclass
@@ -192,8 +185,8 @@ def _max_min_eig(Q_prime, kernel_basis):
     whole ray; tested first, as the path's least-squares steps pass over the
     singular Newton matrix) or when the path ends past half the ball's radius
     (lam_min still rises to a supremum out where no data precision reaches).
-    The curvature, -log det S's Hessian in alpha at the end, is least where
-    lam_min falls slowest.
+    The curvature, the alpha block of the barrier's Hessian at the last cut
+    (the ball adds < ~3e-8 at a bounded end), is least where lam_min falls slowest.
     """
     Qp = np.asarray(Q_prime, dtype=float)
     n, k = Qp.shape[0], len(kernel_basis)
@@ -212,12 +205,10 @@ def _max_min_eig(Q_prime, kernel_basis):
     if status != "gap_met":
         raise SolverNotConverged(f"barrier path stopped without closing the duality gap: {status}")
     duals = []
-    for tau, dy, Ci in cuts:
+    for tau, dy, (_, _, hess, Ci) in cuts:
         Si, dS = Ci.T @ Ci, np.tensordot(dy, A, 1)
         duals.append((scale * tau * (n - float(np.sum(Si * dS))), tau * (Si - Si @ dS @ Si)))
-    SD = Ci @ A[:-1] @ Ci.T
-    curvature = np.einsum("iab,jab->ij", SD, SD)
-    return _PathEnd(True, alpha, lam, duals, duals[-1][0], n_steps, curvature)
+    return _PathEnd(True, alpha, lam, duals, duals[-1][0], n_steps, hess[:k, :k])
 
 
 def _feasible_width(Q_star, E, level):
@@ -314,7 +305,8 @@ def prop2_certificate(Q_prime, kernel_basis):
         intersection_trivial=trivial,
         dual_value=value,
         max_violation=float(np.abs(viol).max()),
-        end=end,
+        n_iter=end.n_steps,
+        gap=end.gap,
         Q_star=Q_star,
         psd_tol=max(psd_tol_for(Q_star), 1.5 * abs(min(end.lam, 0.0))),
         ambiguity=_ambiguity(Q_star, end, kernel_basis, psd_tol_for(Qp)),
