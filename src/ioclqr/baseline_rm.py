@@ -69,7 +69,7 @@ def estimate_rm(sys, bundle, phi=DEFAULT_PHI, max_iters=2000):
     n = sys.n
     method = "residual_minimization"
     W, v, c0 = _reduced_quadratic(sys, bundle)
-    data_scale = max(float(np.sum(bundle.X**2) + np.sum(bundle.U**2)), 1.0)
+    data_scale = float(np.sum(bundle.X**2) + np.sum(bundle.U**2)) or 1.0
     # scaled before the norms, which square W's entries (~ the data's squares)
     if np.linalg.norm(W / data_scale) <= 1e-14 and np.linalg.norm(v / data_scale) <= 1e-14:
         return EstimateResult(
@@ -84,4 +84,4 @@ def estimate_rm(sys, bundle, phi=DEFAULT_PHI, max_iters=2000):
         Wy = W @ y
         return float(y @ Wy + 2.0 * v @ y + c0), 2.0 * (Wy + v), 2.0 * W
 
-    return _barrier_fit(residual, n, config, method)
+    return _barrier_fit(residual, n, config, method, f_ref=data_scale / bundle.M)

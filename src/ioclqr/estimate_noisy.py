@@ -21,6 +21,7 @@ or plain products, each chosen to give the bits of the numpy routine it
 stands for without that routine's Python-level wrapper.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -324,19 +325,25 @@ def _barrier_path(term, y, lmi, grad_tol, max_iters):
     return y, grad, trace, n_eval, status, cuts
 
 
-def _barrier_fit(term, n, config, method, record_trace=True):
+def _barrier_fit(term, n, config, method, record_trace=True, f_ref=1.0):
     """The fitting core of both noisy estimators: `_barrier_path` over the
     `_sym_basis` coordinates y of Q (S(y) = Q, the ball ||Q||_F^2 <= phi)
-    from Q0 = I, shrunk to ||Q0||_F^2 = phi / 2 when n > phi / 2."""
+    from Q0 = I, shrunk to ||Q0||_F^2 = phi / 2 when n > phi / 2. The path
+    runs on f / u, u the power of two just above f_ref, the data term's size
+    (1 when f_ref is zero or not finite): data multiplied by 2^k scale f and
+    f_ref by 4^k, so Q_hat keeps its bits. The trace and the final gradient
+    are u times the path's, f's own bits."""
     basis, phi = _sym_basis(n), config["phi"]
+    unit = math.ldexp(1.0, min(math.frexp(f_ref)[1], 1023))
     y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
     y, grad, trace, n_eval, status, _ = _barrier_path(
-        term, y, (np.zeros((n, n)), basis, phi), GRAD_TOL, config["max_iters"]
+        lambda y: tuple(v / unit for v in term(y)),
+        y, (np.zeros((n, n)), basis, phi), GRAD_TOL, config["max_iters"]
     )
     return EstimateResult(
         CostMatrix(np.tensordot(y, basis, 1), phi=phi),
-        objective_trace=trace if record_trace else [],
-        grad_norm_final=float(np.linalg.norm(grad, np.inf)),
+        objective_trace=[(i, unit * f) for i, f in trace] if record_trace else [],
+        grad_norm_final=unit * float(np.linalg.norm(grad, np.inf)),
         n_iter=len(trace) - 1,
         method=method,
         config=config,
@@ -351,6 +358,8 @@ def estimate(problem):
     non-convergence; the result's status says how the fit stopped."""
     _check_horizon(problem.bundle)
     method = "risk_x" if problem.mode == "state_obs" else "risk_u"
+    Y = problem.observations()  # the risk of predicting 0 sets the data term's size
     return _barrier_fit(
-        penalized_objective(problem), problem.sys.n, problem.config(), method, problem.record_trace
+        penalized_objective(problem), problem.sys.n, problem.config(), method,
+        problem.record_trace, float(np.sum(Y**2)) / problem.bundle.M,
     )
