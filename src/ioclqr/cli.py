@@ -202,7 +202,11 @@ def main(argv=None):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             globals()[f"cmd_{args.command}"](args)
     except (FloatingPointError, np.linalg.LinAlgError) as e:
-        print(f"error: numerical failure: {e}", file=sys.stderr)
+        # numpy's message names an operation, so name the files that fed it
+        paths = (vars(args).get(k) for k in ("system", "cost", "bundle", "config"))
+        inputs = ", ".join(filter(None, paths))
+        print(f"error: numerical failure: {e}" + (f" (inputs: {inputs})" if inputs else ""),
+              file=sys.stderr)
         return NumericalFailure.exit_code
     except (IocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -555,6 +555,22 @@ class TestNumericEdges:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: numerical failure: overflow")
 
+    @pytest.mark.parametrize("command", ["identify", "exact"])
+    def test_numerical_failure_names_the_inputs(self, stable_instance, tmp_path, capsys, command):
+        # a 1e200 input in an exact CSV overflowed in a dot product, and the
+        # message named no file
+        sys, cost, spath, _ = stable_instance
+        b = io.generate_bundle(sys, cost, 8, 2, seed=0)
+        U = b.U.copy()
+        U[0, 0, 2] = 1e200
+        bpath = str(tmp_path / "d.csv")
+        io.save_bundle(io.TrajectoryBundle(b.X, U), bpath)
+        argv = ["--system", spath, "--bundle", bpath, "--out", str(tmp_path / "r.json")]
+        argv = ["identify", *argv] if command == "identify" else ["estimate", *argv, "--mode", "exact"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ")
+        assert f"(inputs: {spath}, {bpath})" in err
 
     @pytest.mark.parametrize("value", [1e100, 1e150])
     def test_residual_min_fits_where_the_risk_fits_do(self, tmp_path, capsys, value):
