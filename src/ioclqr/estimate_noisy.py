@@ -330,9 +330,9 @@ def _barrier_fit(term, n, config, method, record_trace=True, f_ref=1.0):
     `_sym_basis` coordinates y of Q (S(y) = Q, the ball ||Q||_F^2 <= phi)
     from Q0 = I, shrunk to ||Q0||_F^2 = phi / 2 when n > phi / 2. The path
     runs on f / u, u the power of two just above f_ref, the data term's size
-    (1 when f_ref is zero or not finite): data multiplied by 2^k scale f and
-    f_ref by 4^k, so Q_hat keeps its bits. The trace and the final gradient
-    are u times the path's, f's own bits."""
+    (1 when f_ref is zero or not finite, at most 2^1023): data multiplied by
+    2^k scale f and f_ref by 4^k, so Q_hat keeps its bits. The trace and the
+    final gradient norm are u times the path's: f's own bits."""
     basis, phi = _sym_basis(n), config["phi"]
     unit = math.ldexp(1.0, min(math.frexp(f_ref)[1], 1023))
     y = np.tensordot(basis, min(1.0, np.sqrt(phi / (2.0 * n))) * np.eye(n), 2)
