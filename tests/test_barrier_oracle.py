@@ -247,8 +247,7 @@ def test_fits_do_not_depend_on_the_data_units(trial):
     noisy = io.add_noise(exact, cfg.snr_db_x, cfg.snr_db_u, seed=noise_ss)
 
     def scaled(s):
-        b = io.TrajectoryBundle(noisy.X * s, noisy.U * s, noisy.kind, noisy.snr_db_x, noisy.snr_db_u)
-        return _fits(sys_, b)
+        return _fits(sys_, io.TrajectoryBundle(noisy.X * s, noisy.U * s, noisy.kind, 15.0, 20.0))
 
     want = scaled(1.0)
     assert {w.status for w in want} == {"gap_met"}

@@ -555,7 +555,8 @@ class TestNumericEdges:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: numerical failure: overflow")
 
-    @pytest.mark.parametrize("command", ["identify", "exact"])
+    @pytest.mark.parametrize("command", [["identify"], ["estimate", "--mode", "exact"]],
+                             ids=["identify", "exact"])
     def test_numerical_failure_names_the_inputs(self, stable_instance, tmp_path, capsys, command):
         # a 1e200 input in an exact CSV overflowed in a dot product, and the
         # message named no file
@@ -565,8 +566,7 @@ class TestNumericEdges:
         U[0, 0, 2] = 1e200
         bpath = str(tmp_path / "d.csv")
         io.save_bundle(io.TrajectoryBundle(b.X, U), bpath)
-        argv = ["--system", spath, "--bundle", bpath, "--out", str(tmp_path / "r.json")]
-        argv = ["identify", *argv] if command == "identify" else ["estimate", *argv, "--mode", "exact"]
+        argv = [*command, "--system", spath, "--bundle", bpath, "--out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: numerical failure: ")
