@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .core_model import duplication_map, numerical_rank, psd_tol_for, rank_tol, unvech, vech
+from .core_model import duplication_map, numerical_rank, psd_tol_for, rank_tol, unvech
 from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
 from .estimate_noisy import _barrier_path
 
@@ -191,7 +191,7 @@ def _max_min_eig(Q_prime, kernel_basis):
     Qp = np.asarray(Q_prime, dtype=float)
     n, k = Qp.shape[0], len(kernel_basis)
     A = np.stack([np.asarray(d, dtype=float) for d in kernel_basis] + [-np.eye(n)])
-    if numerical_rank(np.stack([vech(a) for a in A])) <= k:
+    if numerical_rank(A.reshape(k + 1, -1)) <= k:
         return _PathEnd(False, np.zeros(k), np.inf, [], np.inf, 0, None)
     scale = float(np.linalg.norm(Qp)) or 1.0
     t, H, phi = np.eye(k + 1)[-1], np.zeros((k + 1, k + 1)), 1e8
@@ -265,7 +265,8 @@ def prop2_certificate(Q_prime, kernel_basis):
     Phi_star is the path's dual point at the first gap under that level,
     scaled to trace n. The eigenvectors G2 of the remaining eigenvalues of
     S* span the null space of Phi* and define N_Phi = {G2 W G2'}; the
-    certificate holds when N_Phi intersects span{dQ_k} only at 0.
+    certificate holds when N_Phi intersects span{dQ_k} only at 0, which is
+    one rank test on the directions dQ_k - P dQ_k P, P = G2 G2'.
     The record keeps the maximizer Q_star, its PSD tolerance (widened to
     1.5 |lam*| when data rounding leaves the family slightly indefinite) and
     the sharpness check's `ambiguity` at level psd_tol_for(Q'), or None.
@@ -289,15 +290,10 @@ def prop2_certificate(Q_prime, kernel_basis):
         w, V = np.linalg.eigh(Q_star - end.lam * np.eye(n))
         rank = int((w <= zero).sum())
         G2 = V[:, rank:]
-    if rank == n:
-        # no null space, N_Phi = {0}: trivially certified
-        trivial = True
-    else:
-        r = n - rank
-        basis = [G2 @ unvech(e, r) @ G2.T for e in np.eye(r * (r + 1) // 2)]
-        cols = np.stack([vech(Bm) for Bm in basis] + [vech(d) for d in kernel_basis]).T
-        # full column rank means beta = W = 0 is the only intersection
-        trivial = numerical_rank(cols) == cols.shape[1]
+    # a symmetric D is in N_Phi exactly when D = P D P: the intersection is {0}
+    # exactly when the directions' parts outside N_Phi stay independent
+    P, dQ = G2 @ G2.T, np.stack(kernel_basis)
+    trivial = numerical_rank((dQ - P @ dQ @ P).reshape(len(dQ), -1)) == len(dQ)
     viol = np.array([np.sum(d * Phi) for d in kernel_basis])
     return Prop2Record(
         Phi_star=Phi,
