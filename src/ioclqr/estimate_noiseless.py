@@ -8,7 +8,7 @@ certificate decides that this maximizer is one point and records it
 (`Prop2Record.Q_star`); recovery only reads that record.
 """
 
-from .core_model import CostMatrix, DEFAULT_PHI
+from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
 from .errors import AmbiguousSolution, NotIdentifiable, ResidualTooLarge
 from .identifiability import assess, prop2_certificate
 
@@ -32,8 +32,9 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
     ResidualTooLarge when no Q with unit input cost explains the data, and
     PsdViolation when the solution is clearly indefinite. The solution is the
     one `assess` recorded on the report, returned as it is: CostMatrix is the
-    one PSD gate (psd_tol_for), and a tiny negative eigenvalue within it
-    stays in Q, where EstimateResult's psd_margin reports it.
+    one PSD gate, at psd_tol_for(Q) widened to 4 report.error_bound (the
+    solve's own precision), and a tiny negative eigenvalue within it stays in
+    Q, where EstimateResult's psd_margin reports it.
     """
     if report is None:
         report = assess(sys, bundle)
@@ -41,7 +42,8 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
         raise NotIdentifiable("identifiability verdict is not_determined")
     if report.verdict == "unique_by_dual" and report.kernel_dim:
         return recover_with_kernel(sys, bundle, report, phi=phi)
-    return CostMatrix(_fitted_solution(report), phi=phi)
+    Q = _fitted_solution(report)  # measured errors reach 2.03 times its error_bound
+    return CostMatrix(Q, phi=phi, psd_tol=max(psd_tol_for(Q), 4.0 * report.error_bound))
 
 
 def recover_with_kernel(sys, bundle, report, phi=DEFAULT_PHI):

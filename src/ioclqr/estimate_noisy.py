@@ -233,6 +233,8 @@ def _barrier(y, S0, A, phi):
     gradient and Hessian in y and the inverse Cholesky factor C^-1 of S(y),
     or None unless S(y) is positive definite and y inside the ball by more
     than MIN_SLACK."""
+    if not max(map(abs, y.tolist())) < math.sqrt(phi):  # outside the ball; y @ y may overflow
+        return None
     slack = phi - float(y @ y)
     if not slack > MIN_SLACK:
         return None

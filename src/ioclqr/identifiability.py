@@ -71,6 +71,7 @@ class IdentifiabilityReport:
     verdict: str
     q_prime: Optional[np.ndarray] = None  # min-norm least-squares solution
     residual: float = float("nan")  # q_prime is None when this exceeds 1e-8 max(1, |rhs|)
+    error_bound: float = 0.0  # eps ||q_prime|| sigma_1 / sigma_k, sigma_k the least one the solve kept
 
     @property
     def kernel_dim(self):
@@ -265,8 +266,7 @@ def prop2_certificate(Q_prime, kernel_basis):
     Phi_star is the path's dual point at the first gap under that level,
     scaled to trace n. The eigenvectors G2 of the remaining eigenvalues of
     S* span the null space of Phi* and define N_Phi = {G2 W G2'}; the
-    certificate holds when N_Phi intersects span{dQ_k} only at 0, which is
-    one rank test on the directions dQ_k - P dQ_k P, P = G2 G2'.
+    certificate holds when N_Phi intersects span{dQ_k} only at 0.
     The record keeps the maximizer Q_star, its PSD tolerance (widened to
     1.5 |lam*| when data rounding leaves the family slightly indefinite) and
     the sharpness check's `ambiguity` at level psd_tol_for(Q'), or None.
@@ -318,8 +318,8 @@ def assess(sys, bundle):
     unique_by_dual when the Prop2-style dual certificate passes and its
     maximizer is sharp (Prop2Record.ambiguity is None), else
     not_determined. The min-norm least-squares solution (q_prime, kept only
-    when the data fit it) and its residual come from the same single
-    factorization of the data matrix.
+    when the data fit it), its residual and its forward error bound come from
+    the same single factorization of the data matrix.
     """
     if bundle.kind != "exact":
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
@@ -331,7 +331,8 @@ def assess(sys, bundle):
         thm3 = None
     # min-norm least-squares solution from the same factors, cut at eps max(p, q)
     # sigma_1 rather than rank_tol: np.linalg.lstsq(rcond=None)'s cutoff, and bits
-    keep = sv > np.finfo(float).eps * max(AD.shape) * sv[0]
+    eps = np.finfo(float).eps
+    keep = sv > eps * max(AD.shape) * sv[0]
     rhs = stacked_inputs_rhs(bundle)
     sol = Vt[: sv.size][keep].T @ ((U[:, keep].T @ rhs) / sv[keep])
     resid = float(np.linalg.norm(AD @ sol - rhs))
@@ -345,6 +346,8 @@ def assess(sys, bundle):
     )
     if resid <= 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
         report.q_prime = unvech(sol, sys.n)
+        sigma_k = sv[keep].min(initial=np.inf)  # inf only for all-zero data, where q_prime = 0
+        report.error_bound = eps * float(np.linalg.norm(report.q_prime)) * sv[0] / sigma_k
     if report.full_column_rank:
         report.verdict = "unique_by_rank"
         return report

@@ -7,9 +7,10 @@ import pytest
 
 import ioclqr as io
 from ioclqr import baseline_rm, bench_harness, estimate_noisy, identifiability
-from ioclqr.core_model import CostMatrix
+from ioclqr.core_model import CostMatrix, numerical_rank, unvech, vech
 from ioclqr.estimate_noisy import EstimateResult, _sym_basis
 from ioclqr.identifiability import PROP2_GAP_TOL, _PathEnd
+from test_identifiability import _sweep_instance
 
 
 def _barrier_reference(y, basis, phi, S0=0.0):
@@ -325,6 +326,30 @@ def test_certificates_match_the_reference_path(monkeypatch, random_system, examp
         n_dual += got.verdict == "unique_by_dual"
     assert n_dual == 17  # the worked example and the 16 slow-sharp seeds
     assert n_bounded >= n_dual
+
+
+def _intersection_trivial_reference(kernel_basis, G2):
+    """span{dQ_k} meets N_Phi = {G2 W G2'} only at 0: the vech columns of an
+    r(r+1)/2-matrix basis of N_Phi and of the dQ_k are independent."""
+    r = G2.shape[1]
+    basis = [G2 @ unvech(e, r) @ G2.T for e in np.eye(r * (r + 1) // 2)]
+    cols = np.stack([vech(B) for B in basis] + [vech(d) for d in kernel_basis]).T
+    return numerical_rank(cols) == cols.shape[1]
+
+
+def test_intersection_matches_the_basis_oracle(random_system, example_instance):
+    cases = list(_certificate_cases(random_system, example_instance))
+    cases += [_sweep_instance(random_system, s)[:2] for s in range(40)]
+    seen = []
+    for sys_, bundle in cases:
+        report = io.assess(sys_, bundle)
+        cert = report.prop2
+        if cert is None:
+            continue
+        G2 = np.linalg.eigh(cert.Q_star)[1][:, cert.rank_Phi:]
+        assert cert.intersection_trivial == _intersection_trivial_reference(report.kernel_basis, G2)
+        seen.append(cert.intersection_trivial)
+    assert len(seen) == 50 and sum(seen) == 20  # 30 at rank_Phi 0, all 20 trivial ones at 2
 
 
 def test_worked_example_recovers_the_reference_cost(monkeypatch, example_instance):

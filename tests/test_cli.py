@@ -572,9 +572,10 @@ class TestNumericEdges:
         assert err.startswith("error: numerical failure: ")
         assert f"(inputs: {spath}, {bpath})" in err
 
-    def test_residual_min_fits_data_whose_size_is_near_the_float_maximum(self, tmp_path):
+    def test_fits_data_whose_size_is_near_the_float_maximum(self, tmp_path, capsys):
         # data_scale / M = 1.7e308 > 2^1023: the fit's unit, the power of two
-        # above it, would overflow; it stops at 2^1023
+        # above it, would overflow; it stops at 2^1023. The risk fits' polish
+        # step landed far outside the ball, whose test squared it (exit 3)
         sys_ = io.LtiSystem([[0.9, 0.2], [-0.1, 0.8]], [[0.0], [1.0]])
         exact = io.generate_bundle(sys_, io.CostMatrix([[1.0, 0.2], [0.2, 0.5]]), 8, 1, seed=0)
         b = io.add_noise(exact, 20.0, 25.0, seed=1)
@@ -583,9 +584,11 @@ class TestNumericEdges:
         spath, bpath = tmp_path / "s.json", tmp_path / "d.csv"
         io.save_system(sys_, spath)
         io.save_bundle(io.TrajectoryBundle(X, b.U, b.kind, 20.0, 25.0), bpath)
-        rc = cli.main(["estimate", "--system", str(spath), "--bundle", str(bpath),
-                       "--mode", "residual-min", "--out", str(tmp_path / "e.json")])
-        assert rc == 0
+        for mode in ("risk-x", "risk-u", "residual-min"):
+            out = tmp_path / f"{mode}.json"
+            rc = cli.main(["estimate", "--system", str(spath), "--bundle", str(bpath),
+                           "--mode", mode, "--out", str(out)])
+            assert rc == 0 and out.exists(), (mode, capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", [1e100, 1e150])
     def test_residual_min_fits_where_the_risk_fits_do(self, tmp_path, capsys, value):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ioclqr as io
+from ioclqr import identifiability
 
 
 def _build_A_matrix_loops(sys, bundle):
@@ -471,3 +472,32 @@ def test_dual_verdict_is_one_the_recovery_keeps(random_system):
             Q = io.recover_exact(sys, bundle, report=report)
             assert np.abs(Q.Q - Qbar).max() <= 1e-6
     assert n_dual == 3  # instances 22, 35 and 39
+
+
+def test_unique_verdict_recovers_at_the_solves_precision(random_system):
+    # instances 1 and 269 solve to within 2.8e-8 of Q_bar, yet their lam_min
+    # of -2.3e-8 and -1.1e-8 fell below the gate's 1e-8 ||Q||: a unique
+    # verdict followed by PsdViolation. Their error bounds are 5.8e-6 and 9.2e-7.
+    for s, verdict in ((1, "unique_by_thm3"), (269, "unique_by_rank")):
+        sys, bundle, Qbar = _sweep_instance(random_system, s)
+        report = io.assess(sys, bundle)
+        assert report.verdict == verdict
+        Q = io.recover_exact(sys, bundle, report=report)
+        assert Q.lam_min < -1e-8 and np.abs(Q.Q - Qbar).max() <= 1e-7
+
+
+def test_an_unclosed_certificate_path_certifies_nothing(monkeypatch, example_instance):
+    # a path that stops on its step budget at a bounded end gives no dual
+    # point to trust: not_determined, never a false unique_by_dual
+    path = identifiability._barrier_path
+
+    def budget_stop(*args):
+        y, g, trace, x, _, cuts = path(*args)
+        return y, g, trace, x, "step_budget", cuts
+
+    monkeypatch.setattr(identifiability, "_barrier_path", budget_stop)
+    sys, bundle = example_instance["sys"], example_instance["bundle"]
+    report = io.assess(sys, bundle)
+    assert report.verdict == "not_determined" and report.prop2 is None
+    with pytest.raises(io.NotIdentifiable):
+        io.recover_exact(sys, bundle, report=report)
