@@ -5,22 +5,22 @@ the noisy observations, jointly over Q and the per-episode adjoint sequences
 (lambda_N = 0). The adjoints enter quadratically, so they are eliminated in
 closed form through the block-tridiagonal normal equations, factored once in
 band storage (O(N) time and memory in the horizon); what remains is a convex
-quadratic in vech(Q). It is the data term of the risk estimator's fitting
-core (`estimate_noisy._barrier_fit`), with its exact gradient and Hessian.
+quadratic in Q's `_sym_basis` coordinates: the data term of the fitting core
+(`estimate_noisy._barrier_fit`), with its exact gradient and Hessian.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from .core_model import CostMatrix, DEFAULT_PHI, duplication_map, vech
+from .core_model import CostMatrix, DEFAULT_PHI, _sym_basis
 from .errors import DimensionMismatch
-from .estimate_noisy import EstimateResult, _barrier_fit, _check_horizon, _fit_config, _sym_basis
+from .estimate_noisy import EstimateResult, _barrier_fit, _check_horizon, _fit_config
 from .forward_lqr import _times
 
 
 def _reduced_quadratic(sys, bundle):
-    """Eliminate the adjoints: residual(Q, lambda) = H lambda + C_i [vech(Q); 1]
-    per episode, with H shared. Partial minimization over lambda leaves
+    """Eliminate the adjoints: residual(Q, lambda) = H lambda + C_i [y; 1] per
+    episode, y Q's `_sym_basis` coordinates, with H shared. Partial minimization over lambda leaves
     g(q) = q'Wq + 2v'q + c0, read off G = sum C'C - (H'C)'(H'H)^{-1}(H'C).
 
     H is never formed: H'H is block tridiagonal in lambda_2..lambda_{N-1}
@@ -38,10 +38,10 @@ def _reduced_quadratic(sys, bundle):
     for b in range(n):
         ab[n - 1 - b :, :, b] = cols[:, : n + 1 + b, b].T
     cb = sla.cholesky_banded(ab.reshape(2 * n, K * n))
-    # C's adjoint-row blocks: S's rows -(x_t' kron I) D for t = 2..N-1
-    # (kron(x', I) vec(Q) = Q x); its input-row blocks: the inputs, column nv
-    Dr = duplication_map(n).reshape(n, n, nv)  # Dr[j, i] is row j*n + i
-    S = -np.einsum("mjt,jiv->timv", bundle.X[:, :, 1 : N - 1], Dr)
+    # C's adjoint-row blocks: S's rows -(x_t' kron I) E for t = 2..N-1, E's columns the
+    # vec'd basis (kron(x', I) vec(Q) = Q x); its input-row blocks: the inputs, column nv
+    Er = _sym_basis(n).transpose(1, 2, 0)  # Er[j, i] is row j*n + i
+    S = -np.einsum("mjt,jiv->timv", bundle.X[:, :, 1 : N - 1], Er)
     # block k of H'C is C_adj[k] - A C_adj[k-1] + B C_u[k], all episodes at once
     BU = np.einsum("ij,mjt->tim", B, bundle.U[:, :, :K])
     HtC = np.concatenate([S, BU[..., None]], axis=-1)
@@ -75,10 +75,7 @@ def estimate_rm(sys, bundle, phi=DEFAULT_PHI, max_iters=2000):
         return EstimateResult(
             CostMatrix(np.eye(n), phi=phi), method=method, degenerate=True, config=config
         )
-
-    # in the fitting core's coordinates y, vech(Q) = P y
-    P = np.array([vech(E) for E in _sym_basis(n)]).T
-    W, v = P.T @ (0.5 * (W + W.T)) @ P, P.T @ v
+    W = 0.5 * (W + W.T)
 
     def residual(y):
         Wy = W @ y

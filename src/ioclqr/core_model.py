@@ -2,12 +2,14 @@
 
 Conventions used everywhere: vec() is column-major, vech() stacks the lower
 triangle column-major, and the duplication matrix D satisfies
-vec(S) = D @ vech(S) for symmetric S.
+vec(S) = D @ vech(S) for symmetric S. Every solver writes Q in the one
+Frobenius-orthonormal `_sym_basis` (vech and D serve I/O and the tests).
 """
 
 import io
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,6 +117,17 @@ def duplication_map(n):
         D[j + i * n, k] = 1.0  # same entry when i == j
     D.setflags(write=False)
     return D
+
+
+@lru_cache(maxsize=None)
+def _sym_basis(n):
+    """Frobenius-orthonormal basis of the symmetric n x n matrices, in vech
+    order: e_i e_i' and (e_i e_j' + e_j e_i') / sqrt(2). In its coordinates
+    y, Q = sum_k y_k E_k and ||Q||_F = |y|."""
+    E = np.array([unvech(e, n) for e in np.eye(n * (n + 1) // 2)])
+    E /= np.linalg.norm(E, axis=(1, 2))[:, None, None]
+    E.setflags(write=False)
+    return E
 
 
 class LtiSystem:

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .core_model import CostMatrix, DEFAULT_PHI, as_q, ball_radius_ok, unvech
+from .core_model import CostMatrix, DEFAULT_PHI, _sym_basis, as_q, ball_radius_ok
 from .errors import DimensionMismatch
 from .forward_lqr import BandedPmp, pmp_band
 
@@ -113,17 +113,6 @@ class EstimateResult:
             "degenerate": self.degenerate,
             "config": self.config,
         }
-
-
-@lru_cache(maxsize=None)
-def _sym_basis(n):
-    """Frobenius-orthonormal basis of the symmetric n x n matrices, in vech
-    order: e_i e_i' and (e_i e_j' + e_j e_i') / sqrt(2). In its coordinates
-    y, Q = sum_k y_k E_k and ||Q||_F = |y|."""
-    E = np.array([unvech(e, n) for e in np.eye(n * (n + 1) // 2)])
-    E /= np.linalg.norm(E, axis=(1, 2))[:, None, None]
-    E.setflags(write=False)
-    return E
 
 
 def _stacked(problem, band=None):

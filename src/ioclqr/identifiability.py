@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .core_model import duplication_map, numerical_rank, psd_tol_for, rank_tol, unvech
+from .core_model import _sym_basis, numerical_rank, psd_tol_for, rank_tol, unvech
 from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
 from .estimate_noisy import _barrier_path
 
@@ -65,11 +65,11 @@ class IdentifiabilityReport:
     """What `assess` found; kernel_dim and full_column_rank derive from kernel_basis."""
 
     rank_AD: int
-    kernel_basis: list  # symmetric n x n matrices, orthonormal in vech coords
+    kernel_basis: list  # symmetric n x n matrices, Frobenius-orthonormal
     thm3_holds: Optional[bool]
     prop2: Optional[Prop2Record]
     verdict: str
-    q_prime: Optional[np.ndarray] = None  # min-norm least-squares solution
+    q_prime: Optional[np.ndarray] = None  # least-squares solution of least Frobenius norm
     residual: float = float("nan")  # q_prime is None when this exceeds 1e-8 max(1, |rhs|)
     error_bound: float = 0.0  # eps ||q_prime|| sigma_1 / sigma_k, sigma_k the least one the solve kept
 
@@ -137,7 +137,7 @@ def stacked_inputs_rhs(bundle):
 
 
 def _factor(AD):
-    """SVD of A(x) D with its numerical rank and sign-fixed kernel basis.
+    """SVD of the data matrix with its numerical rank and sign-fixed kernel rows.
 
     Thin, so U is p x q rather than p x p; the full Vt is kept only for a
     wide matrix (p < q), whose kernel rows a thin Vt would drop.
@@ -146,8 +146,7 @@ def _factor(AD):
     U, sv, Vt = np.linalg.svd(AD, full_matrices=p < q)
     rank = int((sv > rank_tol(sv)).sum())
     K = Vt[rank:]  # kernel rows; flip each so its largest-magnitude entry is positive
-    K = K * np.sign(K[np.arange(len(K)), np.abs(K).argmax(axis=1)])[:, None]
-    return U, sv, Vt, rank, [unvech(v) for v in K]
+    return U, sv, Vt, rank, K * np.sign(K[np.arange(len(K)), np.abs(K).argmax(axis=1)])[:, None]
 
 
 def check_rank_condition(AD):
@@ -158,7 +157,7 @@ def check_rank_condition(AD):
     """
     AD = np.asarray(AD, dtype=float)
     *_, rank, kernel = _factor(AD)
-    return rank, rank == AD.shape[1], kernel
+    return rank, rank == AD.shape[1], [unvech(v) for v in kernel]
 
 
 def check_thm3(bundle):
@@ -323,7 +322,8 @@ def assess(sys, bundle):
     """
     if bundle.kind != "exact":
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
-    AD = build_A_matrix(sys, bundle) @ duplication_map(sys.n)
+    basis = _sym_basis(sys.n)  # the data matrix's columns are Q's coordinates in it
+    AD = build_A_matrix(sys, bundle) @ basis.reshape(len(basis), -1).T
     U, sv, Vt, rank, kernel = _factor(AD)
     try:
         thm3 = check_thm3(bundle)
@@ -338,14 +338,14 @@ def assess(sys, bundle):
     resid = float(np.linalg.norm(AD @ sol - rhs))
     report = IdentifiabilityReport(
         rank_AD=rank,
-        kernel_basis=kernel,
+        kernel_basis=list(np.tensordot(kernel, basis, 1)),
         thm3_holds=thm3,
         prop2=None,
         verdict="not_determined",
         residual=resid,
     )
     if resid <= 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
-        report.q_prime = unvech(sol, sys.n)
+        report.q_prime = np.tensordot(sol, basis, 1)
         sigma_k = sv[keep].min(initial=np.inf)  # inf only for all-zero data, where q_prime = 0
         report.error_bound = eps * float(np.linalg.norm(report.q_prime)) * sv[0] / sigma_k
     if report.full_column_rank:
@@ -356,7 +356,7 @@ def assess(sys, bundle):
         return report
     if report.q_prime is not None:
         try:
-            report.prop2 = prop2_certificate(report.q_prime, kernel)
+            report.prop2 = prop2_certificate(report.q_prime, report.kernel_basis)
         except SolverNotConverged:
             return report  # not_determined, never a false certificate
         cert = report.prop2

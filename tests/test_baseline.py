@@ -7,6 +7,7 @@ import scipy.linalg as sla
 
 import ioclqr as io
 from ioclqr import baseline_rm
+from ioclqr.core_model import _sym_basis
 
 
 def _pmp_residual(sys, bundle, Q):
@@ -183,14 +184,14 @@ def _reduced_quadratic_loop(sys, bundle):
         if t + 1 <= N - 1:
             H[rb : rb + m, (t - 1) * n : t * n] = sys.B.T
     Qh, _ = np.linalg.qr(H)
-    Dmap = io.duplication_map(n)
     nv = n * (n + 1) // 2
+    Emap = _sym_basis(n).reshape(nv, n * n).T  # vec of each basis matrix
     W, v, c0 = np.zeros((nv, nv)), np.zeros(nv), 0.0
     for ep in bundle.episodes:
         S = np.zeros((rows_adj + rows_u, nv))
         for t in range(2, N):
             rb = (t - 2) * n
-            S[rb : rb + n, :] = -np.kron(ep.x[:, t - 1].reshape(1, n), np.eye(n)) @ Dmap
+            S[rb : rb + n, :] = -np.kron(ep.x[:, t - 1].reshape(1, n), np.eye(n)) @ Emap
         d = np.zeros(rows_adj + rows_u)
         d[rows_adj:] = ep.u.flatten(order="F")
         PS = S - Qh @ (Qh.T @ S)
@@ -236,10 +237,10 @@ def _reduced_quadratic_qr(sys, bundle):
         H[rb : rb + m, (t - 1) * n : t * n] = sys.B.T
     Qh, _ = np.linalg.qr(H)
     nv = n * (n + 1) // 2
-    Dr = io.duplication_map(n).reshape(n, n, nv)
+    Er = _sym_basis(n).transpose(1, 2, 0)
     C = np.zeros((rows_adj + rows_u, M, nv + 1))
     X = bundle.X[:, :, 1 : N - 1]
-    C[:rows_adj, :, :nv] = -np.einsum("mjt,jiv->timv", X, Dr).reshape(rows_adj, M, nv)
+    C[:rows_adj, :, :nv] = -np.einsum("mjt,jiv->timv", X, Er).reshape(rows_adj, M, nv)
     C[rows_adj:, :, nv] = bundle.U.transpose(2, 1, 0).reshape(rows_u, M)
     T = (Qh.T @ C.reshape(len(C), -1)).reshape(-1, nv + 1)
     Cf = C.reshape(-1, nv + 1)
@@ -284,8 +285,8 @@ def _reduced_quadratic_einsum(sys, bundle):
     for b in range(n):
         ab[n - 1 - b :, :, b] = cols[:, : n + 1 + b, b].T
     cb = sla.cholesky_banded(ab.reshape(2 * n, K * n))
-    Dr = io.duplication_map(n).reshape(n, n, nv)
-    S = -np.einsum("mjt,jiv->timv", bundle.X[:, :, 1 : N - 1], Dr)
+    Er = _sym_basis(n).transpose(1, 2, 0)
+    S = -np.einsum("mjt,jiv->timv", bundle.X[:, :, 1 : N - 1], Er)
     BU = np.einsum("ij,mjt->tim", B, bundle.U[:, :, :K])
     HtC = np.concatenate([S, BU[..., None]], axis=-1)
     HtC[1:, ..., :nv] -= np.einsum("ij,tjmv->timv", A, S[:-1])

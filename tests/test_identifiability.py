@@ -7,6 +7,7 @@ import pytest
 
 import ioclqr as io
 from ioclqr import identifiability
+from ioclqr.core_model import _sym_basis
 
 
 def _build_A_matrix_loops(sys, bundle):
@@ -388,14 +389,15 @@ class TestAssess:
     def test_report_carries_solution_and_residual(self, rich_instance, example_instance):
         for inst in (rich_instance, example_instance):
             report = io.assess(inst["sys"], inst["bundle"])
-            AD = io.build_A_matrix(inst["sys"], inst["bundle"]) @ io.duplication_map(inst["sys"].n)
+            E = _sym_basis(inst["sys"].n)  # Frobenius-orthonormal coordinates of Q
+            AE = io.build_A_matrix(inst["sys"], inst["bundle"]) @ E.reshape(len(E), -1).T
             rhs = io.stacked_inputs_rhs(inst["bundle"])
-            sol, *_ = np.linalg.lstsq(AD, rhs, rcond=None)
-            assert report.residual == pytest.approx(np.linalg.norm(AD @ sol - rhs), abs=1e-10)
+            sol, *_ = np.linalg.lstsq(AE, rhs, rcond=None)
+            assert report.residual == pytest.approx(np.linalg.norm(AE @ sol - rhs), abs=1e-10)
             assert report.residual <= 1e-8 * max(1.0, np.linalg.norm(rhs))
             # same min-norm solution as lstsq, so kernel components are zero too
             np.testing.assert_allclose(
-                io.vech(report.q_prime), sol, rtol=1e-9, atol=1e-9 * np.linalg.norm(sol)
+                np.tensordot(E, report.q_prime, 2), sol, rtol=1e-9, atol=1e-9 * np.linalg.norm(sol)
             )
 
     def test_inconsistent_data_leave_no_solution(self, rich_instance):
@@ -452,26 +454,25 @@ def _sweep_instance(random_system, s, N=50, M=200):
 
 
 def test_dual_verdict_is_one_the_recovery_keeps(random_system):
-    # instances 69 and 398 pass the dual certificate, but their max lam_min
-    # point is not sharp, so uniqueness is not_determined; a unique_by_dual
-    # there would be refuted by the recovery's AmbiguousSolution
-    for s in (69, 398):
-        sys, bundle, _ = _sweep_instance(random_system, s)
-        report = io.assess(sys, bundle)
-        assert report.verdict == "not_determined"
-        with pytest.raises(io.NotIdentifiable):
-            io.recover_exact(sys, bundle, report=report)
-        assert report.prop2.intersection_trivial and report.prop2.rank_Phi > 0
-        assert report.prop2.ambiguity is not None
+    # instance 69 passes the dual certificate, but its max lam_min point is
+    # not sharp, so uniqueness is not_determined; a unique_by_dual there
+    # would be refuted by the recovery's AmbiguousSolution
+    sys, bundle, _ = _sweep_instance(random_system, 69)
+    report = io.assess(sys, bundle)
+    assert report.verdict == "not_determined"
+    with pytest.raises(io.NotIdentifiable):
+        io.recover_exact(sys, bundle, report=report)
+    assert report.prop2.intersection_trivial and report.prop2.rank_Phi > 0
+    assert report.prop2.ambiguity is not None
     n_dual = 0
-    for s in range(40):
+    for s in [*range(40), 398]:
         sys, bundle, Qbar = _sweep_instance(random_system, s)
         report = io.assess(sys, bundle)
         if report.verdict == "unique_by_dual":
             n_dual += 1
             Q = io.recover_exact(sys, bundle, report=report)
             assert np.abs(Q.Q - Qbar).max() <= 1e-6
-    assert n_dual == 3  # instances 22, 35 and 39
+    assert n_dual == 4  # instances 22, 35, 39 and 398
 
 
 def test_unique_verdict_recovers_at_the_solves_precision(random_system):
