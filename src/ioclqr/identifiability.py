@@ -290,9 +290,12 @@ def prop2_certificate(Q_prime, kernel_basis):
         rank = int((w <= zero).sum())
         G2 = V[:, rank:]
     # a symmetric D is in N_Phi exactly when D = P D P: the intersection is {0}
-    # exactly when the directions' parts outside N_Phi stay independent
+    # exactly when the directions' parts outside N_Phi stay independent, cut at
+    # the unit directions' scale (what is left of one inside N_Phi is rounding)
     P, dQ = G2 @ G2.T, np.stack(kernel_basis)
-    trivial = numerical_rank((dQ - P @ dQ @ P).reshape(len(dQ), -1)) == len(dQ)
+    dQ = dQ / np.linalg.norm(dQ, axis=(1, 2))[:, None, None]
+    sv = [np.linalg.svd(d.reshape(len(d), -1), compute_uv=False) for d in (dQ, dQ - P @ dQ @ P)]
+    trivial = int((sv[1] > rank_tol(sv[0])).sum()) == len(dQ)
     viol = np.array([np.sum(d * Phi) for d in kernel_basis])
     return Prop2Record(
         Phi_star=Phi,

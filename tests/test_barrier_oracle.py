@@ -4,6 +4,7 @@ Newton path. Fits must agree bit for bit, certificates in their verdicts."""
 
 import numpy as np
 import pytest
+from scipy.stats import ortho_group
 
 import ioclqr as io
 from ioclqr import baseline_rm, bench_harness, estimate_noisy, identifiability
@@ -263,6 +264,26 @@ def test_fits_do_not_depend_on_the_data_units(trial):
         assert np.abs(g.Q_hat.Q - w.Q_hat.Q).max() <= 1e-4, w.method
 
 
+def test_fits_rotate_with_the_state_coordinates():
+    # x -> T x with T orthogonal maps the cost Q to T Q T' and leaves the
+    # inputs as they are, so each fit maps to T Q_hat T' up to where its path
+    # stops: over trials 0-39 within 3.8e-12 of ||Q_hat|| for the risk fits,
+    # and 3.1e-8 for residual-min, whose path may stop one step apart
+    cfg = io.BenchConfig(N=50, M_grid=(10,), master_seed=0)
+    for trial in range(10):
+        sys_, cost, init_ss, noise_ss = bench_harness.sample_instance(cfg, trial)
+        exact = io.generate_bundle(sys_, cost, cfg.N, 10, seed=init_ss)
+        noisy = io.add_noise(exact, cfg.snr_db_x, cfg.snr_db_u, seed=noise_ss)
+        T = ortho_group.rvs(sys_.n, random_state=np.random.default_rng([7, trial]))
+        rotated = io.TrajectoryBundle(np.einsum("ij,mjt->mit", T, noisy.X), noisy.U, noisy.kind,
+                                      noisy.snr_db_x, noisy.snr_db_u)
+        got = _fits(io.LtiSystem(T @ sys_.A @ T.T, T @ sys_.B), rotated)
+        for g, w in zip(got, _fits(sys_, noisy)):
+            bound = 1e-7 if w.method == "residual_minimization" else 1e-11
+            err = np.abs(T @ w.Q_hat.Q @ T.T - g.Q_hat.Q).max()
+            assert err <= bound * np.linalg.norm(w.Q_hat.Q), (trial, w.method)
+
+
 def _certificate_cases(random_system, example_instance):
     """(sys, bundle) of the worked example, the slow-sharp seeds and the
     never-certifies sweeps of the certificate and recovery tests."""
@@ -350,6 +371,19 @@ def test_intersection_matches_the_basis_oracle(random_system, example_instance):
         assert cert.intersection_trivial == _intersection_trivial_reference(report.kernel_basis, G2)
         seen.append(cert.intersection_trivial)
     assert len(seen) == 50 and sum(seen) == 20  # 30 at rank_Phi 0, all 20 trivial ones at 2
+
+
+def test_a_direction_inside_N_Phi_is_not_read_as_independent():
+    # dQ moves only the range of Q', so it lies in N_Phi: compression leaves
+    # rounding (~1e-16), which a cut at its own sigma_1 read as rank 1
+    for seed in range(20):
+        T = ortho_group.rvs(3, random_state=np.random.default_rng(seed))
+        Q_prime = T @ np.diag([1.0, 1.0, 0.0]) @ T.T
+        dQ = T @ np.diag([1.0, -1.0, 0.0]) @ T.T / np.sqrt(2.0)
+        cert = identifiability.prop2_certificate(Q_prime, [dQ])
+        G2 = np.linalg.eigh(cert.Q_star)[1][:, cert.rank_Phi:]
+        assert cert.rank_Phi == 1 and not cert.intersection_trivial, seed
+        assert not _intersection_trivial_reference([dQ], G2), seed
 
 
 def test_worked_example_recovers_the_reference_cost(monkeypatch, example_instance):

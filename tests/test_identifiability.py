@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ortho_group
 
 import ioclqr as io
 from ioclqr import identifiability
@@ -335,7 +336,7 @@ class TestAssess:
 
     @pytest.mark.parametrize("seed", [45, 46])
     def test_more_episodes_keep_the_rank_verdict(self, seed, random_system, random_psd):
-        # sigma_3 / sigma_1 is 4.3e-9 (seed 45) and 6.8e-9 (seed 46) at every M;
+        # sigma_3 / sigma_1 is 4.4e-9 (seed 45) and 8.0e-9 (seed 46) at every M;
         # a cutoff that grew with the row count read not_determined at M >= 200
         rng = np.random.default_rng(seed)
         sys = random_system(rng, 2)
@@ -475,10 +476,26 @@ def test_dual_verdict_is_one_the_recovery_keeps(random_system):
     assert n_dual == 4  # instances 22, 35, 39 and 398
 
 
+@pytest.mark.parametrize("s, N, M", [(163, 30, 40), (288, 30, 40), (270, 50, 200), (276, 50, 200)])
+def test_verdict_does_not_move_with_the_state_coordinates(random_system, s, N, M):
+    # x -> T x with T orthogonal maps the cost Q to T Q T' and leaves the
+    # inputs as they are; in vech coordinates, which are not
+    # Frobenius-orthonormal, the rank cutoff read these four rotated copies
+    # differently (rank <-> thm3, rank -> not_determined)
+    sys, bundle, _ = _sweep_instance(random_system, s, N, M)
+    T = ortho_group.rvs(sys.n, random_state=np.random.default_rng([7, s]))
+    rotated = io.assess(
+        io.LtiSystem(T @ sys.A @ T.T, T @ sys.B),
+        io.TrajectoryBundle(np.einsum("ij,mjt->mit", T, bundle.X), bundle.U, "exact"),
+    )
+    report = io.assess(sys, bundle)
+    assert (rotated.verdict, rotated.rank_AD) == (report.verdict, report.rank_AD)
+
+
 def test_unique_verdict_recovers_at_the_solves_precision(random_system):
-    # instances 1 and 269 solve to within 2.8e-8 of Q_bar, yet their lam_min
-    # of -2.3e-8 and -1.1e-8 fell below the gate's 1e-8 ||Q||: a unique
-    # verdict followed by PsdViolation. Their error bounds are 5.8e-6 and 9.2e-7.
+    # instances 1 and 269 solve to within 6.2e-8 of Q_bar, yet their lam_min
+    # of -4.0e-8 and -1.4e-8 fall below the gate's 1e-8 ||Q||: a unique
+    # verdict followed by PsdViolation. Their error bounds are 6.4e-6 and 8.9e-7.
     for s, verdict in ((1, "unique_by_thm3"), (269, "unique_by_rank")):
         sys, bundle, Qbar = _sweep_instance(random_system, s)
         report = io.assess(sys, bundle)

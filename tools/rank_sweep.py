@@ -8,12 +8,13 @@ scaled to ||Q_bar||_F = 0.8. Each instance runs at every (N, M) of GRID,
 its exact bundle from `generate_bundle(..., seed=s)`.
 
 One CSV row per (s, N, M) on stdout: the verdict, the rank of the data
-matrix A(x) D, its smallest singular value over its largest, the relative
-Frobenius distance between A(x) D built from the banded solve and from
-the dense oracle solve (an estimate of the data's own rounding), and the
-recovery's max-abs error or the name of the exception it raised. The
-`bundle` column is a hash of X, so two runs can be checked to have swept
-the same instances.
+matrix A(x) E that `assess` factors (E's columns the vec'd `_sym_basis`,
+Q's Frobenius-orthonormal coordinates), its smallest singular value over
+its largest, the relative Frobenius distance between A(x) E built from the
+banded solve and from the dense oracle solve (an estimate of the data's
+own rounding), and the recovery's max-abs error or the name of the
+exception it raised. The `bundle` column is a hash of X, so two runs can
+be checked to have swept the same instances.
 
 Run from the repository root:
     PYTHONPATH=src python tools/rank_sweep.py [--seeds 400] > verdicts.csv
@@ -28,6 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 import ioclqr as io
+from ioclqr.core_model import _sym_basis
 from ioclqr.identifiability import build_A_matrix
 
 GRID = ((6, 1), (8, 2), (30, 40), (50, 200))
@@ -60,11 +62,11 @@ def dense_bundle(sys, Q, N, X0):
 
 def row(s, sys, Qbar, r, N, M):
     bundle = io.generate_bundle(sys, io.CostMatrix(Qbar, psd_tol=1e-3), N=N, M=M, seed=s)
-    D = io.duplication_map(sys.n)
-    AD = build_A_matrix(sys, bundle) @ D
-    sv = np.linalg.svd(AD, compute_uv=False)
-    dense = build_A_matrix(sys, dense_bundle(sys, Qbar, N, bundle.initial_states())) @ D
-    rounding = np.linalg.norm(AD - dense) / np.linalg.norm(AD)
+    E = _sym_basis(sys.n).reshape(-1, sys.n**2).T
+    AE = build_A_matrix(sys, bundle) @ E
+    sv = np.linalg.svd(AE, compute_uv=False)
+    dense = build_A_matrix(sys, dense_bundle(sys, Qbar, N, bundle.initial_states())) @ E
+    rounding = np.linalg.norm(AE - dense) / np.linalg.norm(AE)
     report = io.assess(sys, bundle)
     try:
         Q = io.recover_exact(sys, bundle, report=report).Q
@@ -72,7 +74,7 @@ def row(s, sys, Qbar, r, N, M):
     except io.IocError as e:
         recovery = type(e).__name__
     digest = hashlib.sha256(bundle.X.tobytes()).hexdigest()[:12]
-    ratio = sv[-1] / sv[0] if len(sv) == AD.shape[1] else 0.0  # a wide matrix has a kernel
+    ratio = sv[-1] / sv[0] if len(sv) == AE.shape[1] else 0.0  # a wide matrix has a kernel
     return [s, sys.n, r, N, M, report.verdict, report.rank_AD, "%.2e" % ratio,
             "%.1e" % rounding, recovery, digest]
 
