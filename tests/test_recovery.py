@@ -102,8 +102,8 @@ class TestRecoveryErrors:
 def _rank_one_instance():
     """A full-rank n=2 instance with a rank-1 cost whose least-squares
     solution has lam_min of -8.1e-13: within the PSD tolerance, below 0.
-    The seed is one whose lam_min sits well below 0 in vech coordinates
-    too (-4.4e-13), not at a rounding's distance from it."""
+    The seed is one whose lam_min sits well below 0 whichever coordinates
+    of Q the solve uses (-4.4e-13 in vech coordinates), not a rounding away."""
     rng = np.random.default_rng(3)
     while True:
         try:
