@@ -325,9 +325,9 @@ def assess(sys, bundle):
     """
     if bundle.kind != "exact":
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
-    basis = _sym_basis(sys.n)  # the data matrix's columns are Q's coordinates in it
-    AD = build_A_matrix(sys, bundle) @ basis.reshape(len(basis), -1).T
-    U, sv, Vt, rank, kernel = _factor(AD)
+    basis = _sym_basis(sys.n)  # AE's columns are Q's coordinates in it
+    AE = build_A_matrix(sys, bundle) @ basis.reshape(len(basis), -1).T
+    U, sv, Vt, rank, kernel = _factor(AE)
     try:
         thm3 = check_thm3(bundle)
     except HypothesisUnmet:
@@ -335,10 +335,10 @@ def assess(sys, bundle):
     # min-norm least-squares solution from the same factors, cut at eps max(p, q)
     # sigma_1 rather than rank_tol: np.linalg.lstsq(rcond=None)'s cutoff, and bits
     eps = np.finfo(float).eps
-    keep = sv > eps * max(AD.shape) * sv[0]
+    keep = sv > eps * max(AE.shape) * sv[0]
     rhs = stacked_inputs_rhs(bundle)
     sol = Vt[: sv.size][keep].T @ ((U[:, keep].T @ rhs) / sv[keep])
-    resid = float(np.linalg.norm(AD @ sol - rhs))
+    resid = float(np.linalg.norm(AE @ sol - rhs))
     report = IdentifiabilityReport(
         rank_AD=rank,
         kernel_basis=list(np.tensordot(kernel, basis, 1)),
@@ -354,7 +354,7 @@ def assess(sys, bundle):
     if report.full_column_rank:
         report.verdict = "unique_by_rank"
         return report
-    if thm3 and keep.sum() == AD.shape[1]:
+    if thm3 and keep.sum() == AE.shape[1]:
         report.verdict = "unique_by_thm3"
         return report
     if report.q_prime is not None:
