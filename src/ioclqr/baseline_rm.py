@@ -13,7 +13,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core_model import CostMatrix, DEFAULT_PHI, _sym_basis
-from .errors import DimensionMismatch
 from .estimate_noisy import EstimateResult, _barrier_fit, _check_horizon, _fit_config
 from .forward_lqr import _times
 
@@ -63,8 +62,7 @@ def estimate_rm(sys, bundle, phi=DEFAULT_PHI, max_iters=2000):
     fitting core at its fixed GRAD_TOL.
     """
     config = _fit_config(phi, max_iters)
-    if bundle.n != sys.n or bundle.m != sys.m:
-        raise DimensionMismatch("bundle dimensions do not match the system")
+    bundle.check_dims(sys)
     _check_horizon(bundle)
     n = sys.n
     method = "residual_minimization"

@@ -3,7 +3,8 @@
 Conventions used everywhere: vec() is column-major, vech() stacks the lower
 triangle column-major, and the duplication matrix D satisfies
 vec(S) = D @ vech(S) for symmetric S. Every solver writes Q in the one
-Frobenius-orthonormal `_sym_basis` (vech and D serve I/O and the tests).
+Frobenius-orthonormal `_sym_basis`; vech and D are public helpers and the
+tests' oracles, and no loader, writer or solver calls them.
 """
 
 import io
@@ -291,9 +292,15 @@ class TrajectoryBundle:
     def initial_states(self):
         return self.X[:, :, 0].T.copy()  # n x M
 
+    def check_dims(self, sys):
+        """Raises DimensionMismatch unless the system has the bundle's n and m."""
+        if self.n != sys.n or self.m != sys.m:
+            raise DimensionMismatch("bundle dimensions do not match the system")
+
     def check_dynamics(self, sys):
         """Max dynamics residual over the bundle; raises for exact bundles
-        above DYN_TOL."""
+        above DYN_TOL, and for a system of other dimensions."""
+        self.check_dims(sys)
         pred = sys.A @ self.X[:, :, :-1] + sys.B @ self.U
         worst = float(np.abs(pred - self.X[:, :, 1:]).max(initial=0.0))
         if self.kind == "exact" and worst > DYN_TOL:

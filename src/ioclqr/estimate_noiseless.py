@@ -33,8 +33,8 @@ def recover_exact(sys, bundle, report=None, phi=DEFAULT_PHI):
     PsdViolation when the solution is clearly indefinite. The solution is the
     one `assess` recorded on the report, returned as it is: CostMatrix is the
     one PSD gate, at psd_tol_for(Q) widened to 4 report.error_bound (the
-    solve's own precision), and a tiny negative eigenvalue within it stays in
-    Q, where EstimateResult's psd_margin reports it.
+    solve's rounding estimate, not a bound), and a tiny negative eigenvalue
+    within it stays in Q, where EstimateResult's psd_margin reports it.
     """
     if report is None:
         report = assess(sys, bundle)

@@ -56,8 +56,7 @@ class RiskProblem:
         if self.mode not in MODES:
             raise DimensionMismatch(f"mode must be one of {MODES}")
         self.config()  # checks phi
-        if self.bundle.n != self.sys.n or self.bundle.m != self.sys.m:
-            raise DimensionMismatch("bundle dimensions do not match the system")
+        self.bundle.check_dims(self.sys)
 
     def config(self):
         """The settings a fit reads and records in its result."""

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .core_model import _sym_basis, numerical_rank, psd_tol_for, rank_tol, unvech
+from .core_model import _sym_basis, numerical_rank, psd_tol_for, rank_tol
 from .errors import DimensionMismatch, HypothesisUnmet, SolverNotConverged
 from .estimate_noisy import _barrier_path
 
@@ -71,7 +71,7 @@ class IdentifiabilityReport:
     verdict: str
     q_prime: Optional[np.ndarray] = None  # least-squares solution of least Frobenius norm
     residual: float = float("nan")  # q_prime is None when this exceeds 1e-8 max(1, |rhs|)
-    error_bound: float = 0.0  # eps ||q_prime|| sigma_1 / sigma_k, sigma_k the least one the solve kept
+    error_bound: float = 0.0  # rounding estimate eps ||q_prime|| sigma_1 / sigma_k, not a bound
 
     @property
     def kernel_dim(self):
@@ -115,8 +115,7 @@ def build_A_matrix(sys, bundle):
     n, m, N = sys.n, sys.m, bundle.N
     if N < 4:
         raise DimensionMismatch("need N >= 4 for an informative data matrix")
-    if bundle.n != n or bundle.m != m:
-        raise DimensionMismatch("bundle dimensions do not match the system")
+    bundle.check_dims(sys)
     X, M = bundle.X, bundle.M
     # L[k, e, j, k'] is row k, column j*n + k' of L_t for episode e; keeping the
     # contracted row index first makes each step one matmul over all episodes
@@ -136,28 +135,26 @@ def stacked_inputs_rhs(bundle):
     return -bundle.U[:, :, : bundle.N - 2].transpose(0, 2, 1).ravel()
 
 
-def _factor(AD):
-    """SVD of the data matrix with its numerical rank and sign-fixed kernel rows.
-
-    Thin, so U is p x q rather than p x p; the full Vt is kept only for a
-    wide matrix (p < q), whose kernel rows a thin Vt would drop.
-    """
-    p, q = AD.shape
-    U, sv, Vt = np.linalg.svd(AD, full_matrices=p < q)
+def _factor(sys, bundle):
+    """The one factorization of the data matrix A(x) E, E's columns the vec'd
+    `_sym_basis`: its thin SVD (the full Vt only for a wide matrix, whose
+    kernel rows a thin one would drop), its rank at rank_tol, and its kernel
+    rows, each flipped so its largest-magnitude entry is positive, as
+    Frobenius-orthonormal symmetric matrices."""
+    basis = _sym_basis(sys.n)
+    AE = build_A_matrix(sys, bundle) @ basis.reshape(len(basis), -1).T
+    U, sv, Vt = np.linalg.svd(AE, full_matrices=AE.shape[0] < AE.shape[1])
     rank = int((sv > rank_tol(sv)).sum())
-    K = Vt[rank:]  # kernel rows; flip each so its largest-magnitude entry is positive
-    return U, sv, Vt, rank, K * np.sign(K[np.arange(len(K)), np.abs(K).argmax(axis=1)])[:, None]
+    K = Vt[rank:]
+    K = K * np.sign(K[np.arange(len(K)), np.abs(K).argmax(axis=1)])[:, None]
+    return basis, AE, U, sv, Vt, rank, list(np.tensordot(K, basis, 1))
 
 
-def check_rank_condition(AD):
-    """Numerical rank of A(x) D (rank_tol) and an orthonormal kernel basis.
-
-    Kernel directions come back as symmetric matrices, orthonormal in vech
-    coordinates, sign-fixed so each one's largest-magnitude entry is positive.
-    """
-    AD = np.asarray(AD, dtype=float)
-    *_, rank, kernel = _factor(AD)
-    return rank, rank == AD.shape[1], [unvech(v) for v in kernel]
+def check_rank_condition(sys, bundle):
+    """(rank, full column rank, kernel) of the data matrix, read off the
+    factorization `assess` reads, so the two agree bit for bit."""
+    *_, rank, kernel = _factor(sys, bundle)
+    return rank, not kernel, kernel
 
 
 def check_thm3(bundle):
@@ -320,14 +317,12 @@ def assess(sys, bundle):
     unique_by_dual when the Prop2-style dual certificate passes and its
     maximizer is sharp (Prop2Record.ambiguity is None), else
     not_determined. The min-norm least-squares solution (q_prime, kept only
-    when the data fit it), its residual and its forward error bound come from
+    when the data fit it), its residual and its rounding estimate come from
     the same single factorization of the data matrix.
     """
     if bundle.kind != "exact":
         raise DimensionMismatch("identifiability analysis needs an exact bundle")
-    basis = _sym_basis(sys.n)  # AE's columns are Q's coordinates in it
-    AE = build_A_matrix(sys, bundle) @ basis.reshape(len(basis), -1).T
-    U, sv, Vt, rank, kernel = _factor(AE)
+    basis, AE, U, sv, Vt, rank, kernel = _factor(sys, bundle)
     try:
         thm3 = check_thm3(bundle)
     except HypothesisUnmet:
@@ -341,7 +336,7 @@ def assess(sys, bundle):
     resid = float(np.linalg.norm(AE @ sol - rhs))
     report = IdentifiabilityReport(
         rank_AD=rank,
-        kernel_basis=list(np.tensordot(kernel, basis, 1)),
+        kernel_basis=kernel,
         thm3_holds=thm3,
         prop2=None,
         verdict="not_determined",

@@ -231,6 +231,14 @@ class TestBundle:
         with pytest.raises(io.DimensionMismatch):
             broken.check_dynamics(sys)
 
+    def test_check_dynamics_refuses_a_system_of_other_dimensions(self, rich_instance, random_system):
+        # a 2-state, 1-input bundle against a 3-state and a 2-input system:
+        # the package's input fault, not numpy's bare matmul ValueError
+        b, rng = rich_instance["bundle"], np.random.default_rng(12)
+        for n, m in ((3, 1), (2, 2)):
+            with pytest.raises(io.DimensionMismatch, match="bundle dimensions do not match"):
+                b.check_dynamics(random_system(rng, n=n, m=m))
+
     def test_kind_validation(self, rich_instance):
         ep = rich_instance["bundle"].episodes[0]
         with pytest.raises(io.DimensionMismatch):

@@ -8,7 +8,7 @@ from scipy.stats import ortho_group
 
 import ioclqr as io
 from ioclqr import identifiability
-from ioclqr.core_model import _sym_basis
+from ioclqr.core_model import _sym_basis, numerical_rank, rank_tol
 
 
 def _build_A_matrix_loops(sys, bundle):
@@ -88,32 +88,29 @@ class TestDataMatrix:
 
 class TestRankCondition:
     def test_full_rank_instance(self, rich_instance):
-        AD = io.build_A_matrix(rich_instance["sys"], rich_instance["bundle"])
-        AD = AD @ io.duplication_map(2)
-        rank, full, kernel = io.check_rank_condition(AD)
+        rank, full, kernel = io.check_rank_condition(rich_instance["sys"], rich_instance["bundle"])
         assert (rank, full, kernel) == (3, True, [])
 
     def test_single_episode_deficiency(self, example_instance):
-        AD = io.build_A_matrix(example_instance["sys"], example_instance["bundle"])
-        AD = AD @ io.duplication_map(3)
-        rank, full, kernel = io.check_rank_condition(AD)
+        sys, bundle = example_instance["sys"], example_instance["bundle"]
+        rank, full, kernel = io.check_rank_condition(sys, bundle)
         assert rank == 5 and not full and len(kernel) == 1
         # the kernel direction lines up with the known unidentifiable direction
-        k = io.vech(kernel[0])
-        d = io.vech(example_instance["dQ"])
-        corr = abs(k @ d) / (np.linalg.norm(k) * np.linalg.norm(d))
+        k, d = kernel[0], example_instance["dQ"]
+        corr = abs(np.sum(k * d)) / (np.linalg.norm(k) * np.linalg.norm(d))
         assert corr > 0.999
         # and it really is annihilated by the data matrix
-        assert np.linalg.norm(AD @ k) <= 1e-8 * np.linalg.norm(AD)
+        A = io.build_A_matrix(sys, bundle)
+        assert np.linalg.norm(A @ io.vec(k)) <= 1e-8 * np.linalg.norm(A)
 
-    def test_kernel_is_vech_orthonormal_and_sign_fixed(self, random_system, random_psd):
+    def test_kernel_is_orthonormal_and_sign_fixed(self, random_system, random_psd):
         rng = np.random.default_rng(35)
         sys = random_system(rng, n=2, m=1)
         bundle = io.generate_bundle(sys, random_psd(rng, 2), N=4, M=1, seed=3)
-        AD = io.build_A_matrix(sys, bundle) @ io.duplication_map(2)
-        rank, full, kernel = io.check_rank_condition(AD)
+        rank, full, kernel = io.check_rank_condition(sys, bundle)
         assert not full and len(kernel) == 3 - rank >= 1
-        V = np.stack([io.vech(k) for k in kernel])
+        # coordinates in the Frobenius-orthonormal basis the data matrix is written in
+        V = np.stack([_sym_basis(2).reshape(3, -1) @ k.ravel() for k in kernel])
         np.testing.assert_allclose(V @ V.T, np.eye(len(kernel)), atol=1e-12)
         for v in V:
             assert v[np.argmax(np.abs(v))] > 0
@@ -121,9 +118,10 @@ class TestRankCondition:
             np.testing.assert_allclose(k, k.T, atol=0)
 
     def test_explicit_tol_override(self):
-        AD = np.diag([1.0, 1.0, 1e-7])  # columns are vech coordinates for n=2
-        rank, full, _ = io.check_rank_condition(AD)
-        assert full  # default tolerance keeps the small singular value
+        # the rank cutoff 1e-10 sigma_1 keeps a singular value of 1e-7 sigma_1
+        sv = np.array([1.0, 1.0, 1e-7])
+        assert numerical_rank(np.diag(sv)) == 3
+        assert rank_tol(sv) == pytest.approx(1e-10, rel=1e-15)
 
     def test_thm3_implies_full_rank(self, random_system, random_psd):
         rng = np.random.default_rng(40)
@@ -134,8 +132,7 @@ class TestRankCondition:
                 sys, random_psd(rng, n), N=n + 3, M=n, seed=int(rng.integers(1 << 30))
             )
             if io.check_thm3(bundle):
-                AD = io.build_A_matrix(sys, bundle) @ io.duplication_map(n)
-                assert io.check_rank_condition(AD)[1]
+                assert io.check_rank_condition(sys, bundle)[1]
 
 
 class TestThm3:
@@ -454,6 +451,13 @@ def _sweep_instance(random_system, s, N=50, M=200):
     return sys, bundle, Qbar
 
 
+def _rotated(sys, bundle, s):
+    """The instance in the state coordinates T x, T orthogonal, drawn from [7, s]."""
+    T = ortho_group.rvs(sys.n, random_state=np.random.default_rng([7, s]))
+    return (io.LtiSystem(T @ sys.A @ T.T, T @ sys.B),
+            io.TrajectoryBundle(np.einsum("ij,mjt->mit", T, bundle.X), bundle.U, "exact"))
+
+
 def test_dual_verdict_is_one_the_recovery_keeps(random_system):
     # instance 69 passes the dual certificate, but its max lam_min point is
     # not sharp, so uniqueness is not_determined; a unique_by_dual there
@@ -483,19 +487,29 @@ def test_verdict_does_not_move_with_the_state_coordinates(random_system, s, N, M
     # Frobenius-orthonormal, the rank cutoff read these four rotated copies
     # differently (rank <-> thm3, rank -> not_determined)
     sys, bundle, _ = _sweep_instance(random_system, s, N, M)
-    T = ortho_group.rvs(sys.n, random_state=np.random.default_rng([7, s]))
-    rotated = io.assess(
-        io.LtiSystem(T @ sys.A @ T.T, T @ sys.B),
-        io.TrajectoryBundle(np.einsum("ij,mjt->mit", T, bundle.X), bundle.U, "exact"),
-    )
+    rotated = io.assess(*_rotated(sys, bundle, s))
     report = io.assess(sys, bundle)
     assert (rotated.verdict, rotated.rank_AD) == (report.verdict, report.rank_AD)
+
+
+@pytest.mark.parametrize("s, N, M", [(113, 50, 200), (199, 50, 200), (270, 50, 200), (276, 50, 200),
+                                     (151, 30, 40), (163, 30, 40), (288, 30, 40)])
+def test_rank_check_reads_the_factorization_assess_reads(random_system, s, N, M):
+    # rows where a rank cutoff on A(x) D, in vech coordinates, moved under
+    # this rotation; the public check and assess now read one factorization
+    sys, bundle, _ = _sweep_instance(random_system, s, N, M)
+    rank = io.assess(sys, bundle).rank_AD
+    for inst in ((sys, bundle), _rotated(sys, bundle, s)):
+        got, report = io.check_rank_condition(*inst), io.assess(*inst)
+        assert got[:2] == (rank, report.full_column_rank)
+        assert len(got[2]) == report.kernel_dim
+        assert all(np.array_equal(k, r) for k, r in zip(got[2], report.kernel_basis))
 
 
 def test_unique_verdict_recovers_at_the_solves_precision(random_system):
     # instances 1 and 269 solve to within 6.2e-8 of Q_bar, yet their lam_min
     # of -4.0e-8 and -1.4e-8 fall below the gate's 1e-8 ||Q||: a unique
-    # verdict followed by PsdViolation. Their error bounds are 6.4e-6 and 8.9e-7.
+    # verdict followed by PsdViolation. Their error_bound estimates are 6.4e-6 and 8.9e-7.
     for s, verdict in ((1, "unique_by_thm3"), (269, "unique_by_rank")):
         sys, bundle, Qbar = _sweep_instance(random_system, s)
         report = io.assess(sys, bundle)

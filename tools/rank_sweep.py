@@ -8,13 +8,13 @@ scaled to ||Q_bar||_F = 0.8. Each instance runs at every (N, M) of GRID,
 its exact bundle from `generate_bundle(..., seed=s)`.
 
 One CSV row per (s, N, M) on stdout: the verdict, the rank of the data
-matrix A(x) E that `assess` factors (E's columns the vec'd `_sym_basis`,
-Q's Frobenius-orthonormal coordinates), its smallest singular value over
-its largest, the relative Frobenius distance between A(x) E built from the
-banded solve and from the dense oracle solve (an estimate of the data's
-own rounding), and the recovery's max-abs error or the name of the
-exception it raised. The `bundle` column is a hash of X, so two runs can
-be checked to have swept the same instances.
+matrix A(x) E that `assess` reads off `identifiability._factor` (E's
+columns the vec'd `_sym_basis`, Q's Frobenius-orthonormal coordinates), its
+smallest singular value over its largest, the relative Frobenius distance
+between A(x) E built from the banded solve and from the dense oracle solve
+(an estimate of the data's own rounding), and the recovery's max-abs error
+or the name of the exception it raised. The `bundle` column is a hash of
+X, so two runs can be checked to have swept the same instances.
 
 Run from the repository root:
     PYTHONPATH=src python tools/rank_sweep.py [--seeds 400] > verdicts.csv
@@ -29,8 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 import ioclqr as io
-from ioclqr.core_model import _sym_basis
-from ioclqr.identifiability import build_A_matrix
+from ioclqr.identifiability import _factor
 
 GRID = ((6, 1), (8, 2), (30, 40), (50, 200))
 
@@ -62,10 +61,8 @@ def dense_bundle(sys, Q, N, X0):
 
 def row(s, sys, Qbar, r, N, M):
     bundle = io.generate_bundle(sys, io.CostMatrix(Qbar, psd_tol=1e-3), N=N, M=M, seed=s)
-    E = _sym_basis(sys.n).reshape(-1, sys.n**2).T
-    AE = build_A_matrix(sys, bundle) @ E
-    sv = np.linalg.svd(AE, compute_uv=False)
-    dense = build_A_matrix(sys, dense_bundle(sys, Qbar, N, bundle.initial_states())) @ E
+    _, AE, _, sv, *_ = _factor(sys, bundle)  # the factorization `assess` reads
+    dense = _factor(sys, dense_bundle(sys, Qbar, N, bundle.initial_states()))[1]
     rounding = np.linalg.norm(AE - dense) / np.linalg.norm(AE)
     report = io.assess(sys, bundle)
     try:
