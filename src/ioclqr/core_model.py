@@ -220,10 +220,6 @@ class CostMatrix:
     def Q(self):
         return self._Q.copy()
 
-    @property
-    def vh(self):
-        return vech(self._Q)
-
     def __repr__(self):
         return f"CostMatrix(n={self.n}, phi={self.phi})"
 

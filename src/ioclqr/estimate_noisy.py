@@ -78,7 +78,10 @@ class EstimateResult:
     (the barrier path closed to GRAD_TOL), "step_budget" (max_iters Newton
     steps taken) or "line_search_failed"; "direct" marks an estimate computed
     without iterating. converged follows from status. n_eval counts data-term
-    evaluations."""
+    evaluations. grad_norm_final is ||grad f||_inf at Q_hat when the path's
+    closing Gauss-Newton step was kept, else ||grad f + tau grad b||_inf (b the
+    log-barrier) at the last iterate, as after every step_budget or
+    line_search_failed stop."""
 
     Q_hat: CostMatrix
     objective_trace: list = field(default_factory=list)

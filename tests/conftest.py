@@ -13,26 +13,20 @@ for _var in (
 ):
     os.environ[_var] = "1"
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ioclqr as io
 
-
-def _random_system(rng, n, m=1, rho=0.95):
-    """Stable-ish controllable system with invertible A (rejection sampled)."""
-    for _ in range(200):
-        A = rng.standard_normal((n, n))
-        lam = np.max(np.abs(np.linalg.eigvals(A)))
-        if lam < 1e-9:
-            continue
-        A *= rho / lam
-        B = rng.standard_normal((n, m))
-        try:
-            return io.LtiSystem(A, B)
-        except io.InvalidSystem:
-            continue
-    raise RuntimeError("no valid system found")
+# the tests draw their systems and sweep instances from tools/rank_sweep.py
+_spec = importlib.util.spec_from_file_location(
+    "rank_sweep", Path(__file__).resolve().parents[1] / "tools" / "rank_sweep.py"
+)
+rank_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(rank_sweep)
 
 
 def _random_psd(rng, n, scale=1.0):
@@ -43,7 +37,7 @@ def _random_psd(rng, n, scale=1.0):
 
 @pytest.fixture
 def random_system():
-    return _random_system
+    return rank_sweep.random_system
 
 
 @pytest.fixture
@@ -102,7 +96,7 @@ def example_instance():
 def rich_instance():
     """Well-excited instance (several episodes) with a full-rank data matrix."""
     rng = np.random.default_rng(11)
-    sys = _random_system(rng, 2)
+    sys = rank_sweep.random_system(rng, 2)
     Qbar = _random_psd(rng, 2, scale=0.9)
     cost = io.CostMatrix(Qbar)
     N, M = 9, 4

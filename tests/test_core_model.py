@@ -124,7 +124,7 @@ class TestCostMatrix:
         c = io.CostMatrix(Q)
         assert np.allclose(c.Q, Q, atol=1e-15)
         assert c.n == 2
-        assert len(c.vh) == 3
+        assert len(io.vech(c.Q)) == 3
 
     def test_rejects_indefinite(self):
         with pytest.raises(io.PsdViolation):

@@ -9,6 +9,7 @@ from scipy.stats import ortho_group
 import ioclqr as io
 from ioclqr import identifiability
 from ioclqr.core_model import _sym_basis, numerical_rank, rank_tol
+from conftest import rank_sweep
 
 
 def _build_A_matrix_loops(sys, bundle):
@@ -349,16 +350,11 @@ class TestAssess:
         assert report.thm3_holds is None  # M = 1 < n
 
     @pytest.mark.parametrize("seed", [122, 301])
-    def test_thm3_does_not_vouch_for_a_truncated_solve(self, seed, random_system):
+    def test_thm3_does_not_vouch_for_a_truncated_solve(self, seed):
         # the states span, yet the data matrix's last singular value is
         # 1e-16..1e-14 of its first: the least-squares solve drops it and
         # returns the min-norm point, 0.13..0.18 max-abs away from Q
-        rng = np.random.default_rng([2024, seed])
-        n = rng.integers(2, 4)
-        sys = random_system(rng, n)
-        G = rng.standard_normal((n, rng.integers(1, n + 1)))
-        Qbar = G @ G.T * (0.8 / np.linalg.norm(G @ G.T))
-        bundle = io.generate_bundle(sys, io.CostMatrix(Qbar, psd_tol=1e-3), N=30, M=40, seed=seed)
+        sys, bundle, _ = _sweep_instance(seed, N=30, M=40)
         report = io.assess(sys, bundle)
         assert report.thm3_holds is True and not report.full_column_rank
         assert report.verdict == "not_determined"
@@ -440,13 +436,9 @@ class TestAssess:
         assert doc["rank_AD"] == 5 and doc["kernel_dim"] == 1
 
 
-def _sweep_instance(random_system, s, N=50, M=200):
-    """Instance s of tools/rank_sweep.py: a rank-r cost scaled to ||Q_bar||_F = 0.8."""
-    rng = np.random.default_rng([2024, s])
-    n = int(rng.integers(2, 4))
-    sys = random_system(rng, n)
-    G = rng.standard_normal((n, int(rng.integers(1, n + 1))))
-    Qbar = G @ G.T * (0.8 / np.linalg.norm(G @ G.T))
+def _sweep_instance(s, N=50, M=200):
+    """Instance s of tools/rank_sweep.py at (N, M): a rank-r cost scaled to ||Q_bar||_F = 0.8."""
+    sys, Qbar, _ = rank_sweep.instance(s)
     bundle = io.generate_bundle(sys, io.CostMatrix(Qbar, psd_tol=1e-3), N=N, M=M, seed=s)
     return sys, bundle, Qbar
 
@@ -458,11 +450,11 @@ def _rotated(sys, bundle, s):
             io.TrajectoryBundle(np.einsum("ij,mjt->mit", T, bundle.X), bundle.U, "exact"))
 
 
-def test_dual_verdict_is_one_the_recovery_keeps(random_system):
+def test_dual_verdict_is_one_the_recovery_keeps():
     # instance 69 passes the dual certificate, but its max lam_min point is
     # not sharp, so uniqueness is not_determined; a unique_by_dual there
     # would be refuted by the recovery's AmbiguousSolution
-    sys, bundle, _ = _sweep_instance(random_system, 69)
+    sys, bundle, _ = _sweep_instance(69)
     report = io.assess(sys, bundle)
     assert report.verdict == "not_determined"
     with pytest.raises(io.NotIdentifiable):
@@ -471,7 +463,7 @@ def test_dual_verdict_is_one_the_recovery_keeps(random_system):
     assert report.prop2.ambiguity is not None
     n_dual = 0
     for s in [*range(40), 398]:
-        sys, bundle, Qbar = _sweep_instance(random_system, s)
+        sys, bundle, Qbar = _sweep_instance(s)
         report = io.assess(sys, bundle)
         if report.verdict == "unique_by_dual":
             n_dual += 1
@@ -481,12 +473,12 @@ def test_dual_verdict_is_one_the_recovery_keeps(random_system):
 
 
 @pytest.mark.parametrize("s, N, M", [(163, 30, 40), (288, 30, 40), (270, 50, 200), (276, 50, 200)])
-def test_verdict_does_not_move_with_the_state_coordinates(random_system, s, N, M):
+def test_verdict_does_not_move_with_the_state_coordinates(s, N, M):
     # x -> T x with T orthogonal maps the cost Q to T Q T' and leaves the
     # inputs as they are; in vech coordinates, which are not
     # Frobenius-orthonormal, the rank cutoff read these four rotated copies
     # differently (rank <-> thm3, rank -> not_determined)
-    sys, bundle, _ = _sweep_instance(random_system, s, N, M)
+    sys, bundle, _ = _sweep_instance(s, N, M)
     rotated = io.assess(*_rotated(sys, bundle, s))
     report = io.assess(sys, bundle)
     assert (rotated.verdict, rotated.rank_AD) == (report.verdict, report.rank_AD)
@@ -494,10 +486,10 @@ def test_verdict_does_not_move_with_the_state_coordinates(random_system, s, N, M
 
 @pytest.mark.parametrize("s, N, M", [(113, 50, 200), (199, 50, 200), (270, 50, 200), (276, 50, 200),
                                      (151, 30, 40), (163, 30, 40), (288, 30, 40)])
-def test_rank_check_reads_the_factorization_assess_reads(random_system, s, N, M):
+def test_rank_check_reads_the_factorization_assess_reads(s, N, M):
     # rows where a rank cutoff on A(x) D, in vech coordinates, moved under
     # this rotation; the public check and assess now read one factorization
-    sys, bundle, _ = _sweep_instance(random_system, s, N, M)
+    sys, bundle, _ = _sweep_instance(s, N, M)
     rank = io.assess(sys, bundle).rank_AD
     for inst in ((sys, bundle), _rotated(sys, bundle, s)):
         got, report = io.check_rank_condition(*inst), io.assess(*inst)
@@ -506,12 +498,12 @@ def test_rank_check_reads_the_factorization_assess_reads(random_system, s, N, M)
         assert all(np.array_equal(k, r) for k, r in zip(got[2], report.kernel_basis))
 
 
-def test_unique_verdict_recovers_at_the_solves_precision(random_system):
+def test_unique_verdict_recovers_at_the_solves_precision():
     # instances 1 and 269 solve to within 6.2e-8 of Q_bar, yet their lam_min
     # of -4.0e-8 and -1.4e-8 fall below the gate's 1e-8 ||Q||: a unique
     # verdict followed by PsdViolation. Their error_bound estimates are 6.4e-6 and 8.9e-7.
     for s, verdict in ((1, "unique_by_thm3"), (269, "unique_by_rank")):
-        sys, bundle, Qbar = _sweep_instance(random_system, s)
+        sys, bundle, Qbar = _sweep_instance(s)
         report = io.assess(sys, bundle)
         assert report.verdict == verdict
         Q = io.recover_exact(sys, bundle, report=report)

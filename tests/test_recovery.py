@@ -145,6 +145,19 @@ class TestSingularCost:
             assert json.load(fh)["constraint_activity"]["psd_margin"] == lam
 
 
+def _forged_dual(rank_AD, kernel_basis, q_prime):
+    """A hand-built unique_by_dual report with the certificate assess would
+    attach to it: recovery reads its ambiguity."""
+    return io.IdentifiabilityReport(
+        rank_AD=rank_AD,
+        kernel_basis=kernel_basis,
+        thm3_holds=None,
+        prop2=io.prop2_certificate(q_prime, kernel_basis),
+        verdict="unique_by_dual",
+        q_prime=q_prime,
+    )
+
+
 class TestKernelRecovery:
     def test_worked_instance(self, example_instance):
         report = io.assess(example_instance["sys"], example_instance["bundle"])
@@ -168,15 +181,11 @@ class TestKernelRecovery:
         base = io.recover_with_kernel(
             example_instance["sys"], example_instance["bundle"], report
         )
-        # the report's certificate belongs to the unshifted q_prime; without
-        # one, recovery solves the path from the shifted point
-        shifted = io.IdentifiabilityReport(
-            rank_AD=report.rank_AD,
-            kernel_basis=report.kernel_basis,
-            thm3_holds=report.thm3_holds,
-            prop2=None,
-            verdict=report.verdict,
-            q_prime=report.q_prime - 3.0 * report.kernel_basis[0],
+        # the report's certificate belongs to the unshifted q_prime; the
+        # shifted report carries one solved from the shifted point
+        q_shifted = report.q_prime - 3.0 * report.kernel_basis[0]
+        shifted = dataclasses.replace(
+            report, q_prime=q_shifted, prop2=io.prop2_certificate(q_shifted, report.kernel_basis)
         )
         moved = io.recover_with_kernel(
             example_instance["sys"], example_instance["bundle"], shifted
@@ -218,14 +227,7 @@ class TestKernelRecovery:
         # verdict contradicts that, which must surface as AmbiguousSolution
         e11 = np.zeros((2, 2))
         e11[0, 0] = 1.0
-        forged = io.IdentifiabilityReport(
-            rank_AD=2,
-            kernel_basis=[e11],
-            thm3_holds=None,
-            prop2=None,
-            verdict="unique_by_dual",
-            q_prime=np.diag([2.0, 1.0]),
-        )
+        forged = _forged_dual(2, [e11], np.diag([2.0, 1.0]))
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
 
@@ -233,14 +235,7 @@ class TestKernelRecovery:
     def test_asymptotic_ray_is_flagged(self, rich_instance, Qp):
         # lam_min(Q' + alpha e11) approaches its supremum only as alpha grows
         # without bound, so a (forged) uniqueness verdict has no point to return
-        forged = io.IdentifiabilityReport(
-            rank_AD=2,
-            kernel_basis=[np.diag([1.0, 0.0])],
-            thm3_holds=None,
-            prop2=None,
-            verdict="unique_by_dual",
-            q_prime=np.array(Qp, dtype=float),
-        )
+        forged = _forged_dual(2, [np.diag([1.0, 0.0])], np.array(Qp, dtype=float))
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
 
@@ -249,14 +244,7 @@ class TestKernelRecovery:
         # is feasible, again contradicting a uniqueness verdict
         d1 = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
         d2 = np.diag([1.0, -1.0]) / np.sqrt(2.0)
-        forged = io.IdentifiabilityReport(
-            rank_AD=1,
-            kernel_basis=[d1, d2],
-            thm3_holds=None,
-            prop2=None,
-            verdict="unique_by_dual",
-            q_prime=np.eye(2),
-        )
+        forged = _forged_dual(1, [d1, d2], np.eye(2))
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
 
@@ -271,14 +259,7 @@ class TestKernelRecovery:
         F[0, 1] = F[1, 0] = 1.0
         G = np.diag([0.0, 1.0, -1.0])
         basis = [(F + G) / 2.0, (F - G) / 2.0] if rotate else [F, G]
-        forged = io.IdentifiabilityReport(
-            rank_AD=4,
-            kernel_basis=basis,
-            thm3_holds=None,
-            prop2=None,
-            verdict="unique_by_dual",
-            q_prime=np.diag([1.0, 0.0, 0.0]),
-        )
+        forged = _forged_dual(4, basis, np.diag([1.0, 0.0, 0.0]))
         with pytest.raises(io.AmbiguousSolution):
             io.recover_with_kernel(rich_instance["sys"], rich_instance["bundle"], forged)
 
@@ -419,4 +400,16 @@ class TestOnePathPerReport:
         assert report.verdict == "unique_by_dual" and len(path_calls) == 1
         path_calls.clear()
         getattr(io, recover)(sys_, bundle, report=report)
+        assert len(path_calls) == 0
+
+    @pytest.mark.parametrize("recover", ["recover_exact", "recover_with_kernel"])
+    def test_dual_report_without_certificate_is_refused(self, path_calls, example_instance,
+                                                        recover):
+        # recovery runs no certificate of its own: a unique_by_dual report
+        # built without one is refused before any barrier path runs
+        sys_, bundle = example_instance["sys"], example_instance["bundle"]
+        report = dataclasses.replace(io.assess(sys_, bundle), prop2=None)
+        path_calls.clear()
+        with pytest.raises(io.NotIdentifiable):
+            getattr(io, recover)(sys_, bundle, report=report)
         assert len(path_calls) == 0

@@ -1,19 +1,13 @@
 """The scripts under tools/ run as their docstrings say."""
 
 import csv
-import importlib.util
 from io import StringIO
-from pathlib import Path
 
+from conftest import rank_sweep
 from ioclqr.identifiability import VERDICTS
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_rank_sweep_writes_one_row_per_instance_and_grid_point(capsys):
-    spec = importlib.util.spec_from_file_location("rank_sweep", ROOT / "tools" / "rank_sweep.py")
-    rank_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(rank_sweep)
     rank_sweep.main(["--seeds", "2"])
     header, *rows = list(csv.reader(StringIO(capsys.readouterr().out)))
     assert header == ["s", "n", "r", "N", "M", "verdict", "rank", "sv_ratio", "rounding",

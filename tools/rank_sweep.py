@@ -1,11 +1,12 @@
 """Seeded sweep of identifiability verdicts on exact data.
 
-Instance s draws from numpy's default_rng([2024, s]): n in {2, 3}, a
-system as in the tests' `_random_system` (standard normal A scaled to
-spectral radius 0.95, standard normal B, redrawn while LtiSystem refuses
-it), a rank r in 1..n and Q_bar = G G' for a standard normal n x r G,
-scaled to ||Q_bar||_F = 0.8. Each instance runs at every (N, M) of GRID,
-its exact bundle from `generate_bundle(..., seed=s)`.
+Instance s (`instance(s)`) draws from numpy's default_rng([2024, s]): n in
+{2, 3}, a system from `random_system` (standard normal A scaled to spectral
+radius 0.95, standard normal B, redrawn while LtiSystem refuses it), a rank
+r in 1..n and Q_bar = G G' for a standard normal n x r G, scaled to
+||Q_bar||_F = 0.8. Each instance runs at every (N, M) of GRID, its exact
+bundle from `generate_bundle(..., seed=s)`. The tests draw their systems
+and sweep instances from these two functions.
 
 One CSV row per (s, N, M) on stdout: the verdict, the rank of the data
 matrix A(x) E that `assess` reads off `identifiability._factor` (E's
@@ -35,6 +36,7 @@ GRID = ((6, 1), (8, 2), (30, 40), (50, 200))
 
 
 def random_system(rng, n, m=1, rho=0.95):
+    """Stable-ish controllable system with invertible A (rejection sampled)."""
     for _ in range(200):
         A = rng.standard_normal((n, n))
         lam = np.max(np.abs(np.linalg.eigvals(A)))
@@ -47,6 +49,16 @@ def random_system(rng, n, m=1, rho=0.95):
         except io.InvalidSystem:
             continue
     raise RuntimeError("no valid system found")
+
+
+def instance(s):
+    """Instance s of the sweep: (system, Q_bar, rank r of Q_bar)."""
+    rng = np.random.default_rng([2024, s])
+    n = int(rng.integers(2, 4))
+    sys_ = random_system(rng, n)
+    r = int(rng.integers(1, n + 1))
+    G = rng.standard_normal((n, r))
+    return sys_, G @ G.T * (0.8 / np.linalg.norm(G @ G.T)), r
 
 
 def dense_bundle(sys, Q, N, X0):
@@ -84,12 +96,7 @@ def main(argv=None):
     out.writerow(["s", "n", "r", "N", "M", "verdict", "rank", "sv_ratio", "rounding",
                   "recovery", "bundle"])
     for s in range(args.seeds):
-        rng = np.random.default_rng([2024, s])
-        n = int(rng.integers(2, 4))
-        sys_ = random_system(rng, n)
-        r = int(rng.integers(1, n + 1))
-        G = rng.standard_normal((n, r))
-        Qbar = G @ G.T * (0.8 / np.linalg.norm(G @ G.T))
+        sys_, Qbar, r = instance(s)
         for N, M in GRID:
             out.writerow(row(s, sys_, Qbar, r, N, M))
 
