@@ -22,8 +22,8 @@ import scipy
 import scipy.linalg as sla
 
 from .baseline_rm import estimate_rm
-from .core_model import (CostMatrix, FLOAT_FMT, LtiSystem, ball_radius_ok, json_matrix,
-                         json_object, write_json)
+from .core_model import (CostMatrix, FLOAT_FMT, LtiSystem, MIN_SNR_DB, ball_radius_ok,
+                         json_matrix, json_object, write_json)
 from .errors import DimensionMismatch, InvalidSystem, ParseError, RejectionBudgetExceeded
 from .estimate_noiseless import recover_exact
 from .estimate_noisy import EstimateResult, RiskProblem, estimate
@@ -76,6 +76,8 @@ class BenchConfig:
             positive = name == "dt"  # phi's rule is ball_radius_ok, below
             if not real or not np.isfinite(value) or (positive and value <= 0):
                 raise ValueError(f"{name} must be a finite {'positive ' * positive}real, got {value!r}")
+            if name.startswith("snr") and value < MIN_SNR_DB:  # add_noise's floor
+                raise ValueError(f"{name} must be >= {MIN_SNR_DB:g} dB, got {value!r}")
         if not ball_radius_ok(self.phi):
             raise ValueError(f"phi must be positive with a finite square, got {self.phi!r}")
         if not self.M_grid:
@@ -333,7 +335,10 @@ def run_benchmark(config, out_dir=None, n_workers=None):
     n_workers = min(default_workers() if n_workers is None else n_workers, config.n_trials)
     trial = functools.partial(run_trial, config)
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # workers start under the caller's floating-point error state, as serial
+        # trials do; only the fork start method would inherit it by itself
+        init = functools.partial(np.seterr, **np.geterr())
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=init) as pool:
             records = list(pool.map(trial, range(config.n_trials)))
     else:
         records = list(map(trial, range(config.n_trials)))

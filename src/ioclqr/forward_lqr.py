@@ -299,20 +299,6 @@ class BandedPmp:
         return dZ[:, :, :n], dZ[:, :, n:]
 
 
-def inputs_from_states(sys, x):
-    """Least-squares input reconstruction u_t = (B'B)^{-1} B'(x_{t+1} - A x_t).
-
-    Returns (u, residuals); residuals[t-1] is the per-step equation-error norm
-    so callers can see when the states did not come from these dynamics.
-    """
-    x = np.asarray(x, dtype=float)
-    N = x.shape[1]
-    dx = x[:, 1:] - sys.A @ x[:, :-1]
-    u, *_ = np.linalg.lstsq(sys.B, dx, rcond=None)
-    resid = np.linalg.norm(sys.B @ u - dx, axis=0)
-    return u, resid
-
-
 def _episode_rngs(seed, M):
     """One generator per episode from seed (anything SeedSequence takes, or
     a SeedSequence): child i is built as the first `spawn` would build it,

@@ -29,6 +29,11 @@ rank_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(rank_sweep)
 
 
+def _bits(a):
+    """The raw IEEE-754 bits of a float64 array, for bit-for-bit comparisons."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def _random_psd(rng, n, scale=1.0):
     G = rng.standard_normal((n, n))
     Q = G @ G.T

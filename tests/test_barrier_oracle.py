@@ -11,6 +11,7 @@ from ioclqr import baseline_rm, bench_harness, estimate_noisy, identifiability
 from ioclqr.core_model import CostMatrix, numerical_rank, unvech, vech
 from ioclqr.estimate_noisy import EstimateResult, _sym_basis
 from ioclqr.identifiability import PROP2_GAP_TOL, _PathEnd
+from conftest import _bits
 from test_identifiability import _sweep_instance
 
 
@@ -124,10 +125,6 @@ def _max_min_eig_reference(Q_prime, kernel_basis):
         if np.linalg.norm(y[:-1]) > scale / PROP2_GAP_TOL:
             return _PathEnd(False, y[:-1], y[-1], duals, np.inf, step, H[:-1, :-1])
     raise io.SolverNotConverged("barrier path did not close the duality gap in 500 Newton steps")
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def _lmi_points(rng, S0, A, phi, unit):

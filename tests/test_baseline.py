@@ -8,6 +8,7 @@ import scipy.linalg as sla
 import ioclqr as io
 from ioclqr import baseline_rm
 from ioclqr.core_model import _sym_basis
+from conftest import _random_psd, rank_sweep
 
 
 def _pmp_residual(sys, bundle, Q):
@@ -42,12 +43,8 @@ def _pmp_residual(sys, bundle, Q):
 
 def _instance(seed, N=12, M=4):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((2, 2))
-    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
-    sys = io.LtiSystem(A, rng.standard_normal((2, 1)))
-    G = rng.standard_normal((2, 2))
-    Qbar = G @ G.T
-    Qbar *= 0.8 / np.linalg.norm(Qbar)
+    sys = rank_sweep.random_system(rng, 2)
+    Qbar = _random_psd(rng, 2, 0.8)
     return sys, Qbar, io.generate_bundle(sys, Qbar, N, M, seed=seed + 1)
 
 
@@ -207,9 +204,7 @@ def test_reduced_quadratic_matches_loop(n, m, N, M):
     from ioclqr.baseline_rm import _reduced_quadratic
 
     rng = np.random.default_rng(95 + n + N)
-    A = rng.standard_normal((n, n))
-    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
-    sys = io.LtiSystem(A, rng.standard_normal((n, m)))
+    sys = rank_sweep.random_system(rng, n, m)
     G = rng.standard_normal((n, n))
     exact = io.generate_bundle(sys, G @ G.T / n, N, M, seed=N)
     bundle = io.add_noise(exact, snr_db_x=15.0, snr_db_u=20.0, seed=N + 1)
@@ -250,9 +245,7 @@ def _reduced_quadratic_qr(sys, bundle):
 
 def _noisy_case(seed, n, m, N, M):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
-    sys = io.LtiSystem(A, rng.standard_normal((n, m)))
+    sys = rank_sweep.random_system(rng, n, m)
     G = rng.standard_normal((n, n))
     exact = io.generate_bundle(sys, G @ G.T / n, N, M, seed=seed + 1)
     return sys, io.add_noise(exact, snr_db_x=15.0, snr_db_u=20.0, seed=seed + 2)

@@ -2,6 +2,8 @@
 
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import ioclqr as io
 from ioclqr import bench_harness as bh
 from ioclqr import cli
+from ioclqr.core_model import MIN_SNR_DB
 
 
 def _taylor_expm(A, terms=50):
@@ -247,7 +250,7 @@ class TestRunBenchmark:
         sizes = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -265,6 +268,32 @@ class TestRunBenchmark:
         assert (tmp_path / "trials.csv").read_bytes() == (out / "trials.csv").read_bytes()
         bh.run_benchmark(bh.BenchConfig(n_trials=1, N=6, M_grid=(3,)), n_workers=64)
         assert sizes == [2]  # one trial runs serially
+
+    def test_pool_workers_keep_the_callers_error_state(self, monkeypatch):
+        # spawn (macOS's default) and forkserver (Linux's from Python 3.14)
+        # start workers under numpy's default error state; only fork copies it
+        seen = []
+
+        class SpawnPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, mp_context=get_context("spawn"), **kwargs)
+
+            def map(self, fn, jobs):
+                seen.append(self.submit(np.geterr).result(timeout=60))
+                return super().map(fn, jobs)
+
+        monkeypatch.setattr(bh, "ProcessPoolExecutor", SpawnPool)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            want = np.geterr()
+            bh.run_benchmark(bh.BenchConfig(n_trials=2, N=6, M_grid=(3,)), n_workers=2)
+        assert seen == [want]
+
+    def test_noise_free_component_reads_infinite_snr(self, tmp_path):
+        cfg = bh.BenchConfig.from_json({"n_trials": 1, "N": 6, "M_grid": [3], "snr_db_x": None})
+        bh.run_benchmark(cfg, out_dir=tmp_path, n_workers=1)
+        rows = _read_csv(tmp_path / "trials.csv")[1:]
+        assert {r[5] for r in rows} == {"inf"}
+        assert all(abs(float(r[6]) - cfg.snr_db_u) < 0.1 for r in rows)
 
     def test_timings_schema(self, smoke_run):
         cfg, out, _, _ = smoke_run
@@ -361,3 +390,8 @@ class TestFailureHandling:
         assert bh.BenchConfig(M_grid=(np.int64(20), 10)).M_grid == (10, 20)
         # a null SNR leaves that component noise-free, as in add_noise
         assert bh.BenchConfig(snr_db_x=None).snr_db_x is None
+        # add_noise's floor; below it the noise power overflows
+        assert bh.BenchConfig(snr_db_u=MIN_SNR_DB).snr_db_u == MIN_SNR_DB
+        for snr in ({"snr_db_x": -3000.5}, {"snr_db_u": -1e308}):
+            with pytest.raises(ValueError, match="-3000 dB"):
+                bh.BenchConfig(**snr)

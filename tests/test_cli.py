@@ -10,6 +10,7 @@ import pytest
 
 import ioclqr as io
 from ioclqr import bench_harness, cli, errors
+from conftest import _random_psd, rank_sweep
 
 
 def _write_instance(tmp_path, sys, cost, tag="a"):
@@ -23,13 +24,8 @@ def _write_instance(tmp_path, sys, cost, tag="a"):
 @pytest.fixture()
 def stable_instance(tmp_path):
     rng = np.random.default_rng(130)
-    A = rng.standard_normal((2, 2))
-    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
-    sys = io.LtiSystem(A, rng.standard_normal((2, 1)))
-    G = rng.standard_normal((2, 2))
-    Qbar = G @ G.T
-    Qbar *= 0.8 / np.linalg.norm(Qbar)
-    cost = io.CostMatrix(Qbar)
+    sys = rank_sweep.random_system(rng, 2)
+    cost = io.CostMatrix(_random_psd(rng, 2, 0.8))
     spath, cpath = _write_instance(tmp_path, sys, cost)
     return sys, cost, spath, cpath
 
@@ -293,12 +289,8 @@ class TestIdentify:
 
     def test_tiny_bundle_not_determined(self, tmp_path):
         rng = np.random.default_rng(40)
-        A = rng.standard_normal((3, 3))
-        A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
-        sys = io.LtiSystem(A, rng.standard_normal((3, 1)))
-        G = rng.standard_normal((3, 3))
-        Qbar = G @ G.T
-        Qbar *= 0.8 / np.linalg.norm(Qbar)
+        sys = rank_sweep.random_system(rng, 3)
+        Qbar = _random_psd(rng, 3, 0.8)
         spath, _ = _write_instance(tmp_path, sys, io.CostMatrix(Qbar), "tiny")
         bpath = str(tmp_path / "tiny.csv")
         io.save_bundle(io.generate_bundle(sys, Qbar, N=4, M=1, seed=2), bpath)
@@ -466,10 +458,11 @@ class TestBench:
          {"n_trials": 1, "N": 12, "M_grid": [4], "phi": -1},
          {"n_trials": 1, "N": 12, "M_grid": [4], "phi": 1e300},
          {"n_trials": 1, "N": 12, "M_grid": [4], "snr_db_x": "x"},
+         {"n_trials": 2, "N": 6, "M_grid": [3], "snr_db_x": -5000},
          {"n_trials": 1, "N": 12, "M_grid": [4], "master_seed": -1}],
         ids=["list", "empty_M_grid", "zero_dt", "system_without_A", "string_n_trials",
              "zero_trials", "horizon_2", "string_phi", "negative_phi", "huge_phi", "string_snr",
-             "negative_seed"],
+             "snr_below_floor", "negative_seed"],
     )
     def test_wrong_shape_config_exits_1(self, tmp_path, capsys, doc):
         cpath = tmp_path / "shape.json"

@@ -10,6 +10,7 @@ import ioclqr as io
 from ioclqr.core_model import (
     KINDS, TrajectoryBundle, ball_radius_ok, duplication_map, unvech, vec, vech,
 )
+from conftest import _bits
 
 
 def test_vec_is_column_major():
@@ -116,6 +117,10 @@ class TestLtiSystem:
         with pytest.raises(io.InvalidSystem) as exc:
             io.LtiSystem(np.diag([1e200, 2e200, 3e200]), np.ones((3, 1)))
         assert exc.value.flag == "non_finite"
+        # entries whose squares are finite, so only A^2 B = 1e309 e_1 overflows
+        with pytest.raises(io.InvalidSystem, match=r"A\^k B overflows") as exc:
+            io.LtiSystem(1e154 * np.eye(3), [[10.0], [0.0], [0.0]])
+        assert exc.value.flag == "non_finite"
 
 
 class TestCostMatrix:
@@ -129,6 +134,10 @@ class TestCostMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(io.PsdViolation):
             io.CostMatrix(np.diag([1.0, -0.5]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(io.DimensionMismatch, match="Q must be square"):
+            io.CostMatrix(np.ones((2, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(io.AsymmetricInput):
@@ -579,10 +588,6 @@ def _oracle_load_bundle(path):
             if t < N:
                 U[e, :, t - 1] = us
     return TrajectoryBundle(X, U, kind=kind, snr_db_x=snr_x, snr_db_u=snr_u)
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("n,m,N,M", [(1, 1, 2, 1), (2, 1, 50, 200), (3, 2, 15, 3)])

@@ -17,13 +17,13 @@ from ioclqr import (
     build_pmp_system,
     cost_of,
     generate_bundle,
-    inputs_from_states,
     pmp_solve,
     simulate,
     solve_qp_oracle,
     solve_riccati,
 )
 from ioclqr.bench_harness import BenchConfig, sample_instance
+from conftest import rank_sweep
 
 
 class TestRiccatiScalar:
@@ -68,6 +68,10 @@ class TestRiccatiScalar:
             solve_riccati(self.sys, self.Q, N=1)
         with pytest.raises(DimensionMismatch):
             solve_riccati(self.sys, np.eye(2), N=3)
+        with pytest.raises(DimensionMismatch, match="horizon must be at least 2"):
+            build_pmp_system(self.sys, self.Q, N=1)
+        with pytest.raises(DimensionMismatch, match="x_bar has 2 entries, wanted 1"):
+            simulate(self.sys, solve_riccati(self.sys, self.Q, N=3), [1.0, 2.0])
 
 
 class TestCostOf:
@@ -134,25 +138,6 @@ class TestRouteEquivalence:
         sys = LtiSystem([[0.5]], [[1.0]])
         with pytest.raises(SizeGuardExceeded):
             solve_qp_oracle(sys, np.eye(1), N=2002, x_bar=[1.0])
-
-
-class TestInputReconstruction:
-    def test_exact_states_give_exact_inputs(self, random_system, random_psd):
-        rng = np.random.default_rng(17)
-        sys = random_system(rng, n=3, m=2)
-        ep = simulate(sys, solve_riccati(sys, random_psd(rng, 3), 8), rng.normal(size=3))
-        u, resid = inputs_from_states(sys, ep.x)
-        np.testing.assert_allclose(u, ep.u, atol=1e-10)
-        assert np.all(resid < 1e-10)
-
-    def test_residual_flags_foreign_states(self, random_system, random_psd):
-        rng = np.random.default_rng(18)
-        sys = random_system(rng, n=3, m=1)
-        ep = simulate(sys, solve_riccati(sys, random_psd(rng, 3), 8), rng.normal(size=3))
-        x = ep.x.copy()
-        x[:, 4] += 0.5
-        _, resid = inputs_from_states(sys, x)
-        assert resid.max() > 1e-3
 
 
 _BUNDLE_SIZES = (1, 2, 3, 64)
@@ -299,10 +284,7 @@ class TestGenerateBundle:
 
 class TestAddNoise:
     def _bundle(self, seed=31):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(2, 2))
-        A *= 0.9 / max(np.abs(np.linalg.eigvals(A)))
-        sys = LtiSystem(A, rng.normal(size=(2, 1)))
+        sys = rank_sweep.random_system(np.random.default_rng(seed), 2, rho=0.9)
         Q = np.diag([1.0, 0.5])
         return sys, generate_bundle(sys, Q, N=7, M=3, seed=seed)
 

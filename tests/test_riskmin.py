@@ -6,16 +6,13 @@ from scipy.linalg import lapack
 
 import ioclqr as io
 from ioclqr import estimate_noisy, forward_lqr
+from conftest import _bits, _random_psd, rank_sweep
 
 
 def _noisy_problem(seed, mode="state_obs", n=2, N=10, M=3, **kw):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A *= 0.9 / max(np.abs(np.linalg.eigvals(A)))
-    sys = io.LtiSystem(A, rng.standard_normal((n, 1)))
-    G = rng.standard_normal((n, n))
-    Qbar = G @ G.T
-    Qbar *= 0.9 / np.linalg.norm(Qbar)
+    sys = rank_sweep.random_system(rng, n, rho=0.9)
+    Qbar = _random_psd(rng, n, 0.9)
     exact = io.generate_bundle(sys, Qbar, N, M, seed=seed)
     noisy = io.add_noise(exact, snr_db_x=15.0, snr_db_u=20.0, seed=seed + 1)
     return sys, Qbar, exact, noisy, io.RiskProblem(sys, noisy, mode=mode, **kw)
@@ -307,9 +304,7 @@ def _dense_risk(problem, Q):
 
 def _band_case(seed, n, m, N, M=3):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A *= 0.95 / max(np.abs(np.linalg.eigvals(A)))
-    sys = io.LtiSystem(A, rng.standard_normal((n, m)))
+    sys = rank_sweep.random_system(rng, n, m)
     G = rng.standard_normal((n, n))
     Qbar = G @ G.T / n
     exact = io.generate_bundle(sys, Qbar, N, M, seed=seed)
@@ -408,10 +403,6 @@ class _PerCallBand(forward_lqr.BandedPmp):
         dZ, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.reshape(2 * n * nb, -1), self.piv)
         dZ = dZ.reshape(rhs.shape).transpose(2, 0, 1, 3)
         return dZ[:, :, :n], dZ[:, :, n:]
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 # N = 4 is the first horizon with two Q blocks, spaced 2n columns apart
